@@ -38,7 +38,9 @@ import (
 	"time"
 
 	"repro/internal/cliflags"
+	"repro/internal/cluster"
 	"repro/internal/load"
+	"repro/internal/metricsz"
 	"repro/internal/serve"
 	"repro/internal/tracez"
 )
@@ -342,21 +344,6 @@ func clusterPassthrough(args []string, name string, path func(*flag.FlagSet) str
 	return err
 }
 
-// fleetView mirrors cluster.FleetView using serve's metrics types (the
-// JSON tags are the shared contract), so the client needs no import of
-// the cluster package internals.
-type fleetView struct {
-	Self    string            `json:"self"`
-	Members []fleetMember     `json:"members"`
-	Fleet   serve.MetricsView `json:"fleet"`
-}
-
-type fleetMember struct {
-	URL     string             `json:"url"`
-	Error   string             `json:"error,omitempty"`
-	Metrics *serve.MetricsView `json:"metrics,omitempty"`
-}
-
 // cmdClusterTop renders a live refreshing fleet table: one row per
 // member with leases held, simulation throughput (counter delta over
 // the refresh interval), cumulative cache hit rate and executed tasks,
@@ -390,8 +377,8 @@ func cmdClusterTop(args []string) error {
 	return nil
 }
 
-func fetchFleet(server string) (fleetView, error) {
-	var view fleetView
+func fetchFleet(server string) (cluster.FleetView, error) {
+	var view cluster.FleetView
 	resp, err := get(server, "/v1/cluster/metrics?format=json")
 	if err != nil {
 		return view, err
@@ -406,21 +393,21 @@ func fetchFleet(server string) (fleetView, error) {
 // memberSims extracts a member's simulation counter: workers count
 // esteem_worker_sims_computed_total, the coordinator (a serve node)
 // esteem_serve_sims_executed_total.
-func memberSims(m serve.MetricsView) uint64 {
+func memberSims(m metricsz.Snapshot) uint64 {
 	if v, ok := m.Counters["esteem_worker_sims_computed_total"]; ok {
 		return v
 	}
 	return m.Counters["esteem_serve_sims_executed_total"]
 }
 
-func renderFleet(w io.Writer, view fleetView, prevSims map[string]uint64, since time.Duration) {
+func renderFleet(w io.Writer, view cluster.FleetView, prevSims map[string]uint64, since time.Duration) {
 	reachable := 0
 	for _, m := range view.Members {
 		if m.Metrics != nil {
 			reachable++
 		}
 	}
-	p99 := load.HistogramQuantile(view.Fleet.Histograms["esteem_serve_queue_wait_seconds"], 0.99)
+	p99 := view.Fleet.Histograms["esteem_serve_queue_wait_seconds"].Quantile(0.99)
 	fmt.Fprintf(w, "fleet %s  members %d/%d reachable  workers %.0f  leases %.0f  queue-wait p99 %.1fms  %s\n",
 		view.Self, reachable, len(view.Members),
 		view.Fleet.Gauges["esteem_cluster_workers_live"],

@@ -18,6 +18,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/metricsz"
 )
 
 var (
@@ -198,18 +201,6 @@ func fetchArtifacts(t *testing.T, server string, v jobView) map[string][]byte {
 	return out
 }
 
-// metricsView mirrors /metrics?format=json on a coordinator.
-type metricsView struct {
-	Gauges   map[string]float64 `json:"gauges"`
-	Counters map[string]uint64  `json:"counters"`
-}
-
-// workerStats mirrors a worker's /metrics?format=json (the
-// fleet-mergeable MetricsJSON shape).
-type workerStats struct {
-	Counters map[string]uint64 `json:"counters"`
-}
-
 // statusView mirrors GET /v1/cluster/status.
 type statusView struct {
 	Workers []struct {
@@ -277,7 +268,7 @@ func TestClusterSweepByteIdentity(t *testing.T) {
 	// replicated reads add zero).
 	var computed uint64
 	for _, w := range []*node{w1, w2} {
-		var st workerStats
+		var st metricsz.Snapshot
 		getJSON(t, w.url+"/metrics?format=json", &st)
 		computed += st.Counters["esteem_worker_sims_computed_total"]
 	}
@@ -285,7 +276,7 @@ func TestClusterSweepByteIdentity(t *testing.T) {
 		t.Errorf("cluster computed %d simulations for %d unique units", computed, len(want))
 	}
 
-	var mv metricsView
+	var mv metricsz.Snapshot
 	getJSON(t, coord.url+"/metrics?format=json", &mv)
 	if got := mv.Counters["esteem_cluster_tasks_submitted_total"]; got != uint64(len(want)) {
 		t.Errorf("tasks_submitted_total = %d, want %d (duplicate jobs must coalesce)", got, len(want))
@@ -296,15 +287,7 @@ func TestClusterSweepByteIdentity(t *testing.T) {
 
 	// Fleet aggregation must agree with the per-worker scrapes: the
 	// fleet's worker sim total is exactly the sum over members.
-	var fleet struct {
-		Fleet struct {
-			Counters map[string]uint64 `json:"counters"`
-		} `json:"fleet"`
-		Members []struct {
-			URL   string `json:"url"`
-			Error string `json:"error"`
-		} `json:"members"`
-	}
+	var fleet cluster.FleetView
 	getJSON(t, coord.url+"/v1/cluster/metrics?format=json", &fleet)
 	if got := fleet.Fleet.Counters["esteem_worker_sims_computed_total"]; got != computed {
 		t.Errorf("fleet sims_computed_total = %d, want the members' sum %d", got, computed)
@@ -338,7 +321,7 @@ func TestClusterWorkerKill(t *testing.T) {
 		workers[w.url] = w
 	}
 
-	var before metricsView
+	var before metricsz.Snapshot
 	getJSON(t, coord.url+"/metrics?format=json", &before)
 
 	id := submitJob(t, coord.url, spec)
@@ -380,7 +363,7 @@ func TestClusterWorkerKill(t *testing.T) {
 
 	// Scrape-delta assertions: the kill must be visible in the
 	// coordinator's cluster metrics.
-	var after metricsView
+	var after metricsz.Snapshot
 	getJSON(t, coord.url+"/metrics?format=json", &after)
 	delta := func(name string) uint64 { return after.Counters[name] - before.Counters[name] }
 	if d := delta("esteem_cluster_workers_expired_total"); d < 1 {

@@ -2,11 +2,8 @@
 // member's JSON metrics snapshot, merges counters/gauges/histograms
 // into fleet totals, and exposes the result as Prometheus text (fleet
 // aggregates unlabeled, per-member breakdowns labeled {node="..."})
-// or JSON (?format=json).
-//
-// MetricsJSON is structurally identical to internal/serve's
-// MetricsView — duplicated here because serve imports cluster, and a
-// shared type would cycle. The JSON tags are the contract.
+// or JSON (?format=json). The snapshot type, the merge and the text
+// writer are internal/metricsz's, shared with serve and the worker.
 package cluster
 
 import (
@@ -15,82 +12,27 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/metricsz"
 )
-
-// HistBucket is one cumulative histogram bucket (count of samples
-// ≤ LE seconds).
-type HistBucket struct {
-	LE    float64 `json:"le"`
-	Count uint64  `json:"count"`
-}
-
-// HistogramJSON is one histogram's snapshot.
-type HistogramJSON struct {
-	Count      uint64       `json:"count"`
-	SumSeconds float64      `json:"sum_seconds"`
-	Buckets    []HistBucket `json:"buckets"`
-}
-
-// MetricsJSON is one node's metrics snapshot, the shape every member
-// serves on /metrics?format=json.
-type MetricsJSON struct {
-	UptimeSeconds float64                  `json:"uptime_seconds"`
-	Gauges        map[string]float64       `json:"gauges"`
-	Counters      map[string]uint64        `json:"counters"`
-	Histograms    map[string]HistogramJSON `json:"histograms"`
-}
 
 // MemberMetrics is one member's row in a fleet view: its snapshot, or
 // the error that prevented fetching one (unreachable members are
 // reported, not silently excluded — but their zeros don't pollute the
 // fleet sums).
 type MemberMetrics struct {
-	URL     string       `json:"url"`
-	Error   string       `json:"error,omitempty"`
-	Metrics *MetricsJSON `json:"metrics,omitempty"`
+	URL     string             `json:"url"`
+	Error   string             `json:"error,omitempty"`
+	Metrics *metricsz.Snapshot `json:"metrics,omitempty"`
 }
 
 // FleetView is the JSON shape of GET /v1/cluster/metrics?format=json.
 type FleetView struct {
-	Self    string          `json:"self"`
-	Members []MemberMetrics `json:"members"`
-	Fleet   MetricsJSON     `json:"fleet"`
-}
-
-// MergeMetrics folds src into dst: counters and gauges sum, histogram
-// buckets merge bucket-wise by LE boundary, and uptime takes the max
-// (a fleet is as old as its oldest member).
-func MergeMetrics(dst *MetricsJSON, src MetricsJSON) {
-	if src.UptimeSeconds > dst.UptimeSeconds {
-		dst.UptimeSeconds = src.UptimeSeconds
-	}
-	for k, v := range src.Gauges {
-		dst.Gauges[k] += v
-	}
-	for k, v := range src.Counters {
-		dst.Counters[k] += v
-	}
-	for k, h := range src.Histograms {
-		into := dst.Histograms[k]
-		into.Count += h.Count
-		into.SumSeconds += h.SumSeconds
-		byLE := make(map[float64]uint64, len(into.Buckets))
-		for _, b := range into.Buckets {
-			byLE[b.LE] = b.Count
-		}
-		for _, b := range h.Buckets {
-			byLE[b.LE] += b.Count
-		}
-		into.Buckets = into.Buckets[:0]
-		for le, n := range byLE {
-			into.Buckets = append(into.Buckets, HistBucket{LE: le, Count: n})
-		}
-		sort.Slice(into.Buckets, func(i, j int) bool { return into.Buckets[i].LE < into.Buckets[j].LE })
-		dst.Histograms[k] = into
-	}
+	Self    string            `json:"self"`
+	Members []MemberMetrics   `json:"members"`
+	Fleet   metricsz.Snapshot `json:"fleet"`
 }
 
 // FleetMetrics fetches every live member's snapshot in parallel and
@@ -101,11 +43,7 @@ func (c *Coordinator) FleetMetrics(ctx context.Context) FleetView {
 	view := FleetView{
 		Self:    c.cfg.Self,
 		Members: make([]MemberMetrics, len(members)),
-		Fleet: MetricsJSON{
-			Gauges:     map[string]float64{},
-			Counters:   map[string]uint64{},
-			Histograms: map[string]HistogramJSON{},
-		},
+		Fleet:   metricsz.NewSnapshot(0, nil),
 	}
 	var wg sync.WaitGroup
 	for i, u := range members {
@@ -124,13 +62,13 @@ func (c *Coordinator) FleetMetrics(ctx context.Context) FleetView {
 	wg.Wait()
 	for _, m := range view.Members {
 		if m.Metrics != nil {
-			MergeMetrics(&view.Fleet, *m.Metrics)
+			view.Fleet.Merge(*m.Metrics)
 		}
 	}
 	return view
 }
 
-func (c *Coordinator) fetchMemberMetrics(ctx context.Context, base string) (*MetricsJSON, error) {
+func (c *Coordinator) fetchMemberMetrics(ctx context.Context, base string) (*metricsz.Snapshot, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		strings.TrimRight(base, "/")+"/metrics?format=json", nil)
 	if err != nil {
@@ -145,7 +83,7 @@ func (c *Coordinator) fetchMemberMetrics(ctx context.Context, base string) (*Met
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
-	var m MetricsJSON
+	var m metricsz.Snapshot
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxClusterBody)).Decode(&m); err != nil {
 		return nil, fmt.Errorf("decoding metrics: %w", err)
 	}
@@ -156,7 +94,7 @@ func (c *Coordinator) fetchMemberMetrics(ctx context.Context, base string) (*Met
 		m.Counters = map[string]uint64{}
 	}
 	if m.Histograms == nil {
-		m.Histograms = map[string]HistogramJSON{}
+		m.Histograms = map[string]metricsz.Histogram{}
 	}
 	return &m, nil
 }
@@ -182,46 +120,15 @@ func writeFleetText(w io.Writer, view FleetView) {
 			reachable++
 		}
 	}
-	fmt.Fprintf(w, "esteem_fleet_members %d\n", len(view.Members))
-	fmt.Fprintf(w, "esteem_fleet_members_reachable %d\n", reachable)
-	fmt.Fprintf(w, "esteem_fleet_uptime_seconds %g\n", view.Fleet.UptimeSeconds)
-	writeMetricsText(w, view.Fleet, "")
+	header := []metricsz.Series{
+		metricsz.Gauge("esteem_fleet_members", "", float64(len(view.Members))),
+		metricsz.Gauge("esteem_fleet_members_reachable", "", float64(reachable)),
+		metricsz.Gauge("esteem_fleet_uptime_seconds", "", view.Fleet.UptimeSeconds),
+	}
+	metricsz.WriteText(w, append(header, view.Fleet.Series()...), "")
 	for _, m := range view.Members {
 		if m.Metrics != nil {
-			writeMetricsText(w, *m.Metrics, m.URL)
+			metricsz.WriteText(w, m.Metrics.Series(), m.URL)
 		}
 	}
-}
-
-func writeMetricsText(w io.Writer, m MetricsJSON, node string) {
-	label := ""
-	bucketLabel := func(le string) string { return fmt.Sprintf("{le=%q}", le) }
-	if node != "" {
-		label = fmt.Sprintf("{node=%q}", node)
-		bucketLabel = func(le string) string { return fmt.Sprintf("{node=%q,le=%q}", node, le) }
-	}
-	for _, k := range sortedKeys(m.Gauges) {
-		fmt.Fprintf(w, "%s%s %g\n", k, label, m.Gauges[k])
-	}
-	for _, k := range sortedKeys(m.Counters) {
-		fmt.Fprintf(w, "%s%s %d\n", k, label, m.Counters[k])
-	}
-	for _, k := range sortedKeys(m.Histograms) {
-		h := m.Histograms[k]
-		for _, b := range h.Buckets {
-			fmt.Fprintf(w, "%s_bucket%s %d\n", k, bucketLabel(fmt.Sprintf("%g", b.LE)), b.Count)
-		}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", k, bucketLabel("+Inf"), h.Count)
-		fmt.Fprintf(w, "%s_sum%s %g\n", k, label, h.SumSeconds)
-		fmt.Fprintf(w, "%s_count%s %d\n", k, label, h.Count)
-	}
-}
-
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

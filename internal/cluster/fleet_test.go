@@ -8,26 +8,28 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/metricsz"
 )
 
 func TestMergeMetrics(t *testing.T) {
-	dst := MetricsJSON{
+	dst := metricsz.Snapshot{
 		UptimeSeconds: 10,
 		Gauges:        map[string]float64{"g": 1},
 		Counters:      map[string]uint64{"c": 5},
-		Histograms: map[string]HistogramJSON{
-			"h": {Count: 2, SumSeconds: 0.5, Buckets: []HistBucket{{LE: 0.1, Count: 1}, {LE: 1, Count: 2}}},
+		Histograms: map[string]metricsz.Histogram{
+			"h": {Count: 2, SumSeconds: 0.5, Buckets: []metricsz.Bucket{{LE: 0.1, Count: 1}, {LE: 1, Count: 2}}},
 		},
 	}
-	src := MetricsJSON{
+	src := metricsz.Snapshot{
 		UptimeSeconds: 30,
 		Gauges:        map[string]float64{"g": 2, "g2": 7},
 		Counters:      map[string]uint64{"c": 3, "c2": 1},
-		Histograms: map[string]HistogramJSON{
-			"h": {Count: 4, SumSeconds: 1.5, Buckets: []HistBucket{{LE: 0.1, Count: 3}, {LE: 1, Count: 4}}},
+		Histograms: map[string]metricsz.Histogram{
+			"h": {Count: 4, SumSeconds: 1.5, Buckets: []metricsz.Bucket{{LE: 0.1, Count: 3}, {LE: 1, Count: 4}}},
 		},
 	}
-	MergeMetrics(&dst, src)
+	dst.Merge(src)
 	if dst.UptimeSeconds != 30 {
 		t.Errorf("uptime = %g, want max 30", dst.UptimeSeconds)
 	}
@@ -41,14 +43,14 @@ func TestMergeMetrics(t *testing.T) {
 	if h.Count != 6 || h.SumSeconds != 2 {
 		t.Errorf("histogram count/sum = %d/%g, want 6/2", h.Count, h.SumSeconds)
 	}
-	want := []HistBucket{{LE: 0.1, Count: 4}, {LE: 1, Count: 6}}
+	want := []metricsz.Bucket{{LE: 0.1, Count: 4}, {LE: 1, Count: 6}}
 	if len(h.Buckets) != 2 || h.Buckets[0] != want[0] || h.Buckets[1] != want[1] {
 		t.Errorf("buckets = %v, want %v", h.Buckets, want)
 	}
 }
 
 func TestFleetMetricsAggregatesMembers(t *testing.T) {
-	// Two synthetic members serving MetricsJSON, plus an unreachable
+	// Two synthetic members serving metrics snapshots, plus an unreachable
 	// third registered but then torn down.
 	mkMember := func(sims uint64) *httptest.Server {
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -56,12 +58,12 @@ func TestFleetMetricsAggregatesMembers(t *testing.T) {
 				http.NotFound(w, r)
 				return
 			}
-			json.NewEncoder(w).Encode(MetricsJSON{
+			json.NewEncoder(w).Encode(metricsz.Snapshot{
 				UptimeSeconds: 1,
 				Counters:      map[string]uint64{"esteem_worker_sims_computed_total": sims},
 				Gauges:        map[string]float64{"esteem_worker_held_leases": 1},
-				Histograms: map[string]HistogramJSON{
-					"esteem_wait_seconds": {Count: 1, SumSeconds: 0.25, Buckets: []HistBucket{{LE: 1, Count: 1}}},
+				Histograms: map[string]metricsz.Histogram{
+					"esteem_wait_seconds": {Count: 1, SumSeconds: 0.25, Buckets: []metricsz.Bucket{{LE: 1, Count: 1}}},
 				},
 			})
 		}))

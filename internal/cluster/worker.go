@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/castore"
+	"repro/internal/metricsz"
 	"repro/internal/runner"
 	"repro/internal/tracez"
 )
@@ -487,32 +488,25 @@ func (w *Worker) Stats() WorkerStats {
 	}
 }
 
-// MetricsJSON snapshots the worker's counters in the fleet-mergeable
-// shape served on /metrics?format=json (the same schema the serve
-// layer exports, so the coordinator's aggregator reads both).
-func (w *Worker) MetricsJSON() MetricsJSON {
+// metricsSeries lists the worker's /metrics series in exposition
+// order; the text and JSON views are both derived from it.
+func (w *Worker) metricsSeries() []metricsz.Series {
 	st := w.Stats()
-	return MetricsJSON{
-		UptimeSeconds: time.Since(w.start).Seconds(),
-		Gauges: map[string]float64{
-			"esteem_worker_leases_held": float64(st.LeasesHeld),
-			"esteem_worker_members":     float64(st.Members),
-		},
-		Counters: map[string]uint64{
-			"esteem_worker_tasks_executed_total":          st.TasksExecuted,
-			"esteem_worker_tasks_failed_total":            st.TasksFailed,
-			"esteem_worker_sims_computed_total":           st.SimsComputed,
-			"esteem_worker_spans_shipped_total":           w.spansShipped.Load(),
-			"esteem_worker_events_dropped_total":          w.eventsDropped.Load(),
-			"esteem_worker_store_hits_total":              st.Store.Hits,
-			"esteem_worker_store_misses_total":            st.Store.Misses,
-			"esteem_worker_shard_remote_hits_total":       st.Store.RemoteHits,
-			"esteem_worker_shard_remote_misses_total":     st.Store.RemoteMisses,
-			"esteem_worker_shard_repairs_total":           st.Store.Repairs,
-			"esteem_worker_shard_remote_puts_total":       st.Store.RemotePuts,
-			"esteem_worker_shard_remote_put_errors_total": st.Store.RemotePutErrors,
-		},
-		Histograms: map[string]HistogramJSON{},
+	return []metricsz.Series{
+		metricsz.Counter("esteem_worker_tasks_executed_total", "Cluster tasks executed by this worker.", st.TasksExecuted),
+		metricsz.Counter("esteem_worker_tasks_failed_total", "Cluster tasks that failed on this worker.", st.TasksFailed),
+		metricsz.Counter("esteem_worker_sims_computed_total", "Simulations actually computed (cache hits excluded).", st.SimsComputed),
+		metricsz.Counter("esteem_worker_spans_shipped_total", "Completed spans shipped to the coordinator.", w.spansShipped.Load()),
+		metricsz.Counter("esteem_worker_events_dropped_total", "Journal events dropped from the worker's pending buffer.", w.eventsDropped.Load()),
+		metricsz.Gauge("esteem_worker_leases_held", "Leases currently held.", float64(st.LeasesHeld)),
+		metricsz.Gauge("esteem_worker_members", "Cluster members in this worker's placement view.", float64(st.Members)),
+		metricsz.Counter("esteem_worker_store_hits_total", "Local store hits.", st.Store.Hits),
+		metricsz.Counter("esteem_worker_store_misses_total", "Local store misses.", st.Store.Misses),
+		metricsz.Counter("esteem_worker_shard_remote_hits_total", "Artifacts fetched from a peer shard.", st.Store.RemoteHits),
+		metricsz.Counter("esteem_worker_shard_remote_misses_total", "Peer shard lookups that found nothing.", st.Store.RemoteMisses),
+		metricsz.Counter("esteem_worker_shard_repairs_total", "Read-through replication repairs.", st.Store.Repairs),
+		metricsz.Counter("esteem_worker_shard_remote_puts_total", "Artifact replications to peer shards.", st.Store.RemotePuts),
+		metricsz.Counter("esteem_worker_shard_remote_put_errors_total", "Failed replications to peer shards.", st.Store.RemotePutErrors),
 	}
 }
 
@@ -529,33 +523,12 @@ func (w *Worker) Register(mux *http.ServeMux) {
 	})
 	mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("X-Esteem-Node", w.cfg.Self)
+		series := w.metricsSeries()
 		if r.URL.Query().Get("format") == "json" {
-			writeJSON(rw, http.StatusOK, w.MetricsJSON())
+			writeJSON(rw, http.StatusOK, metricsz.NewSnapshot(time.Since(w.start).Seconds(), series))
 			return
 		}
-		st := w.Stats()
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		var b bytes.Buffer
-		counter := func(name, help string, v uint64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-		}
-		gauge := func(name, help string, v int) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-		}
-		counter("esteem_worker_tasks_executed_total", "Cluster tasks executed by this worker.", st.TasksExecuted)
-		counter("esteem_worker_tasks_failed_total", "Cluster tasks that failed on this worker.", st.TasksFailed)
-		counter("esteem_worker_sims_computed_total", "Simulations actually computed (cache hits excluded).", st.SimsComputed)
-		counter("esteem_worker_spans_shipped_total", "Completed spans shipped to the coordinator.", w.spansShipped.Load())
-		counter("esteem_worker_events_dropped_total", "Journal events dropped from the worker's pending buffer.", w.eventsDropped.Load())
-		gauge("esteem_worker_leases_held", "Leases currently held.", st.LeasesHeld)
-		gauge("esteem_worker_members", "Cluster members in this worker's placement view.", st.Members)
-		counter("esteem_worker_store_hits_total", "Local store hits.", st.Store.Hits)
-		counter("esteem_worker_store_misses_total", "Local store misses.", st.Store.Misses)
-		counter("esteem_worker_shard_remote_hits_total", "Artifacts fetched from a peer shard.", st.Store.RemoteHits)
-		counter("esteem_worker_shard_remote_misses_total", "Peer shard lookups that found nothing.", st.Store.RemoteMisses)
-		counter("esteem_worker_shard_repairs_total", "Read-through replication repairs.", st.Store.Repairs)
-		counter("esteem_worker_shard_remote_puts_total", "Artifact replications to peer shards.", st.Store.RemotePuts)
-		counter("esteem_worker_shard_remote_put_errors_total", "Failed replications to peer shards.", st.Store.RemotePutErrors)
-		rw.Write(b.Bytes())
+		metricsz.WriteText(rw, series, "")
 	})
 }

@@ -19,6 +19,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/metricsz"
 	"repro/internal/serve"
 )
 
@@ -92,8 +93,8 @@ func newClient(server string, retries int) *client {
 }
 
 // scrape fetches the JSON metrics view.
-func (c *client) scrape(ctx context.Context) (serve.MetricsView, error) {
-	var v serve.MetricsView
+func (c *client) scrape(ctx context.Context) (metricsz.Snapshot, error) {
+	var v metricsz.Snapshot
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics?format=json", nil)
 	if err != nil {
 		return v, err
@@ -114,7 +115,7 @@ func (c *client) scrape(ctx context.Context) (serve.MetricsView, error) {
 
 // cacheDelta converts two metric snapshots into the window's cache
 // behaviour.
-func cacheDelta(before, after serve.MetricsView) CacheStats {
+func cacheDelta(before, after metricsz.Snapshot) CacheStats {
 	c := func(name string) uint64 {
 		d := after.Counters[name] - before.Counters[name]
 		return d

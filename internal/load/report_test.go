@@ -191,4 +191,11 @@ func TestLatencyHistogramCumulative(t *testing.T) {
 			t.Fatalf("histogram not cumulative at bucket %d", i)
 		}
 	}
+	// A sample exactly on a bound lands in that bound's bucket (v <= le).
+	edges := latencyHistogram([]float64{1, 2.5, 2.5, 10000})
+	for i, want := range map[int]uint64{0: 1, 1: 3, 2: 3, len(edges) - 2: 3, len(edges) - 1: 4} {
+		if edges[i].Count != want {
+			t.Errorf("edges: le=%gms count %d, want %d", edges[i].LEms, edges[i].Count, want)
+		}
+	}
 }

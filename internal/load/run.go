@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/metricsz"
 	"repro/internal/serve"
 )
 
@@ -93,7 +94,7 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 	defer cancel()
 
 	results := make([]reqResult, len(arrivals))
-	phaseMarks := make([]serve.MetricsView, len(opts.Schedule.Phases))
+	phaseMarks := make([]metricsz.Snapshot, len(opts.Schedule.Phases))
 	var wg sync.WaitGroup
 	start := time.Now()
 	started := start.UTC()
@@ -158,7 +159,7 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 
 // buildReport aggregates per-request outcomes and metric snapshots.
 func buildReport(opts Options, arrivals []Arrival, results []reqResult,
-	baseline serve.MetricsView, phaseMarks []serve.MetricsView, final serve.MetricsView) Report {
+	baseline metricsz.Snapshot, phaseMarks []metricsz.Snapshot, final metricsz.Snapshot) Report {
 
 	sched := opts.Schedule
 	rep := Report{
@@ -234,17 +235,14 @@ var latencyHistogramBoundsMs = []float64{
 
 // latencyHistogram builds the report's cumulative latency histogram.
 func latencyHistogram(ms []float64) []HistBucket {
-	counts := make([]uint64, len(latencyHistogramBoundsMs))
+	r := metricsz.NewRecorder(latencyHistogramBoundsMs)
 	for _, v := range ms {
-		for i, le := range latencyHistogramBoundsMs {
-			if v <= le {
-				counts[i]++
-			}
-		}
+		r.Observe(v)
 	}
-	out := make([]HistBucket, len(counts))
-	for i := range counts {
-		out[i] = HistBucket{LEms: latencyHistogramBoundsMs[i], Count: counts[i]}
+	h := r.Snapshot()
+	out := make([]HistBucket, len(h.Buckets))
+	for i, b := range h.Buckets {
+		out[i] = HistBucket{LEms: b.LE, Count: b.Count}
 	}
 	return out
 }

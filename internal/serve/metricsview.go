@@ -1,46 +1,30 @@
-// The typed metrics snapshot behind /metrics: one data structure both
-// renderers consume, so the Prometheus text exposition and the JSON
-// view (?format=json) can never drift apart. The JSON view exists for
-// programmatic delta-scraping — the load generator (internal/load)
-// snapshots it before and after each schedule phase to attribute
-// cache hits, misses and queue-wait to traffic windows.
+// The series behind /metrics. metricsSeries lists every exported
+// series once, in exposition order; the Prometheus text exposition
+// and the JSON view (?format=json) are both derived from that list by
+// internal/metricsz, so they can never drift apart. The JSON view
+// exists for programmatic delta-scraping — the load generator
+// (internal/load) snapshots it before and after each schedule phase to
+// attribute cache hits, misses and queue-wait to traffic windows.
 package serve
 
 import (
-	"fmt"
-	"io"
 	"net/http"
 	"time"
+
+	"repro/internal/metricsz"
 )
 
-// MetricsView is the JSON shape of GET /metrics?format=json. Keys of
-// Gauges, Counters and Histograms are the Prometheus series names of
-// the text exposition.
-type MetricsView struct {
-	UptimeSeconds float64                  `json:"uptime_seconds"`
-	Gauges        map[string]float64       `json:"gauges"`
-	Counters      map[string]uint64        `json:"counters"`
-	Histograms    map[string]HistogramView `json:"histograms"`
+// MetricsView is the JSON shape of GET /metrics?format=json.
+type MetricsView = metricsz.Snapshot
+
+// latencyBuckets are the shared upper bounds (seconds) for every
+// serve-side latency histogram: 1ms to 60s, roughly geometric.
+var latencyBuckets = []float64{
+	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// metricPoint is one gauge or counter with its help text (ordering is
-// the text exposition's).
-type metricPoint struct {
-	name string
-	help string
-	gval float64 // gauges
-	cval uint64  // counters
-}
-
-// histPoint is one histogram with its help text.
-type histPoint struct {
-	name string
-	help string
-	view HistogramView
-}
-
-// metricsData snapshots every exported series in exposition order.
-func (s *Server) metricsData() (gauges, counters []metricPoint, hists []histPoint) {
+// metricsSeries snapshots every exported series in exposition order.
+func (s *Server) metricsSeries() []metricsz.Series {
 	s.mu.Lock()
 	queued := len(s.queue)
 	s.mu.Unlock()
@@ -53,84 +37,68 @@ func (s *Server) metricsData() (gauges, counters []metricPoint, hists []histPoin
 	}
 	ts := s.cfg.Tracer.Stats()
 
-	gauges = []metricPoint{
-		{name: "esteem_serve_queue_depth", help: "Jobs waiting in the admission queue.", gval: float64(queued)},
-		{name: "esteem_serve_in_flight_jobs", help: "Jobs currently executing.", gval: float64(s.inFlight.Load())},
-		{name: "esteem_serve_sims_per_second", help: "Simulations executed per second of uptime.", gval: simsPerSec},
-		{name: "esteem_serve_trace_spans_buffered", help: "Completed spans retained in the tracer's ring.", gval: float64(ts.Buffered)},
+	gauges := []metricsz.Series{
+		metricsz.Gauge("esteem_serve_queue_depth", "Jobs waiting in the admission queue.", float64(queued)),
+		metricsz.Gauge("esteem_serve_in_flight_jobs", "Jobs currently executing.", float64(s.inFlight.Load())),
+		metricsz.Gauge("esteem_serve_sims_per_second", "Simulations executed per second of uptime.", simsPerSec),
+		metricsz.Gauge("esteem_serve_trace_spans_buffered", "Completed spans retained in the tracer's ring.", float64(ts.Buffered)),
 	}
-	counters = []metricPoint{
-		{name: "esteem_serve_jobs_accepted_total", help: "Jobs admitted to the queue.", cval: s.accepted.Load()},
-		{name: "esteem_serve_jobs_rejected_total", help: "Jobs rejected with 429 (queue full).", cval: s.rejected.Load()},
-		{name: "esteem_serve_jobs_completed_total", help: "Jobs finished successfully.", cval: s.completed.Load()},
-		{name: "esteem_serve_jobs_failed_total", help: "Jobs finished in failure or cancellation.", cval: s.failed.Load()},
-		{name: "esteem_serve_sims_executed_total", help: "Simulations actually executed (cache misses).", cval: sims},
-		{name: "esteem_serve_sim_instructions_total", help: "Instructions simulated by executed simulations.", cval: s.instrTotal.Load()},
-		{name: "esteem_serve_cache_hits_total", help: "Content-addressed store hits (memory + disk).", cval: st.Hits},
-		{name: "esteem_serve_cache_memory_hits_total", help: "Content-addressed store memory-layer hits.", cval: st.MemHits},
-		{name: "esteem_serve_cache_disk_hits_total", help: "Content-addressed store disk-layer hits.", cval: st.DiskHits},
-		{name: "esteem_serve_cache_misses_total", help: "Content-addressed store misses.", cval: st.Misses},
-		{name: "esteem_serve_cache_computes_total", help: "Simulations computed under the store's single-flight lock.", cval: st.Computes},
-		{name: "esteem_serve_cache_coalesced_total", help: "Requests coalesced onto an in-progress compute.", cval: st.Coalesced},
-		{name: "esteem_serve_prefix_checkpoint_hits_total", help: "Simulations resumed from a stored prefix checkpoint.", cval: st.PrefixHits},
-		{name: "esteem_serve_prefix_checkpoint_misses_total", help: "Prefix-checkpoint lookups that found no usable checkpoint.", cval: st.PrefixMisses},
-		{name: "esteem_serve_prefix_checkpoint_saved_instructions_total", help: "Measured instructions skipped by resuming from prefix checkpoints.", cval: st.PrefixSavedInstr},
-		{name: "esteem_serve_trace_spans_dropped_total", help: "Spans evicted from the tracer's ring.", cval: ts.Dropped},
-		{name: "esteem_serve_trace_unsampled_total", help: "Traces head-sampled out.", cval: ts.Unsampled},
-		{name: "esteem_serve_shard_remote_hits_total", help: "Artifacts fetched from a peer shard (zero when not clustered).", cval: st.RemoteHits},
-		{name: "esteem_serve_shard_remote_misses_total", help: "Peer shard lookups that found nothing.", cval: st.RemoteMisses},
-		{name: "esteem_serve_shard_repairs_total", help: "Read-through replication repairs.", cval: st.Repairs},
-		{name: "esteem_serve_shard_remote_puts_total", help: "Artifact replications to peer shards.", cval: st.RemotePuts},
-		{name: "esteem_serve_shard_remote_put_errors_total", help: "Failed replications to peer shards.", cval: st.RemotePutErrors},
+	counters := []metricsz.Series{
+		metricsz.Counter("esteem_serve_jobs_accepted_total", "Jobs admitted to the queue.", s.accepted.Load()),
+		metricsz.Counter("esteem_serve_jobs_rejected_total", "Jobs rejected with 429 (queue full).", s.rejected.Load()),
+		metricsz.Counter("esteem_serve_jobs_completed_total", "Jobs finished successfully.", s.completed.Load()),
+		metricsz.Counter("esteem_serve_jobs_failed_total", "Jobs finished in failure or cancellation.", s.failed.Load()),
+		metricsz.Counter("esteem_serve_sims_executed_total", "Simulations actually executed (cache misses).", sims),
+		metricsz.Counter("esteem_serve_sim_instructions_total", "Instructions simulated by executed simulations.", s.instrTotal.Load()),
+		metricsz.Counter("esteem_serve_cache_hits_total", "Content-addressed store hits (memory + disk).", st.Hits),
+		metricsz.Counter("esteem_serve_cache_memory_hits_total", "Content-addressed store memory-layer hits.", st.MemHits),
+		metricsz.Counter("esteem_serve_cache_disk_hits_total", "Content-addressed store disk-layer hits.", st.DiskHits),
+		metricsz.Counter("esteem_serve_cache_misses_total", "Content-addressed store misses.", st.Misses),
+		metricsz.Counter("esteem_serve_cache_computes_total", "Simulations computed under the store's single-flight lock.", st.Computes),
+		metricsz.Counter("esteem_serve_cache_coalesced_total", "Requests coalesced onto an in-progress compute.", st.Coalesced),
+		metricsz.Counter("esteem_serve_prefix_checkpoint_hits_total", "Simulations resumed from a stored prefix checkpoint.", st.PrefixHits),
+		metricsz.Counter("esteem_serve_prefix_checkpoint_misses_total", "Prefix-checkpoint lookups that found no usable checkpoint.", st.PrefixMisses),
+		metricsz.Counter("esteem_serve_prefix_checkpoint_saved_instructions_total", "Measured instructions skipped by resuming from prefix checkpoints.", st.PrefixSavedInstr),
+		metricsz.Counter("esteem_serve_trace_spans_dropped_total", "Spans evicted from the tracer's ring.", ts.Dropped),
+		metricsz.Counter("esteem_serve_trace_unsampled_total", "Traces head-sampled out.", ts.Unsampled),
+		metricsz.Counter("esteem_serve_shard_remote_hits_total", "Artifacts fetched from a peer shard (zero when not clustered).", st.RemoteHits),
+		metricsz.Counter("esteem_serve_shard_remote_misses_total", "Peer shard lookups that found nothing.", st.RemoteMisses),
+		metricsz.Counter("esteem_serve_shard_repairs_total", "Read-through replication repairs.", st.Repairs),
+		metricsz.Counter("esteem_serve_shard_remote_puts_total", "Artifact replications to peer shards.", st.RemotePuts),
+		metricsz.Counter("esteem_serve_shard_remote_put_errors_total", "Failed replications to peer shards.", st.RemotePutErrors),
 	}
 	if s.cfg.Cluster != nil {
 		cs := s.cfg.Cluster.Stats()
 		gauges = append(gauges,
-			metricPoint{name: "esteem_cluster_workers_live", help: "Workers currently registered and heartbeating.", gval: float64(cs.WorkersLive)},
-			metricPoint{name: "esteem_cluster_leases_outstanding", help: "Leases currently held by workers.", gval: float64(cs.LeasesOutstanding)},
-			metricPoint{name: "esteem_cluster_tasks_pending", help: "Tasks queued waiting for a lease.", gval: float64(cs.TasksPending)},
+			metricsz.Gauge("esteem_cluster_workers_live", "Workers currently registered and heartbeating.", float64(cs.WorkersLive)),
+			metricsz.Gauge("esteem_cluster_leases_outstanding", "Leases currently held by workers.", float64(cs.LeasesOutstanding)),
+			metricsz.Gauge("esteem_cluster_tasks_pending", "Tasks queued waiting for a lease.", float64(cs.TasksPending)),
 		)
 		counters = append(counters,
-			metricPoint{name: "esteem_cluster_workers_joined_total", help: "Worker join registrations.", cval: cs.WorkersJoined},
-			metricPoint{name: "esteem_cluster_workers_expired_total", help: "Workers expired for missing heartbeats.", cval: cs.WorkersExpired},
-			metricPoint{name: "esteem_cluster_leases_issued_total", help: "Leases granted to workers.", cval: cs.LeasesIssued},
-			metricPoint{name: "esteem_cluster_leases_expired_total", help: "Leases that timed out and re-queued.", cval: cs.LeasesExpired},
-			metricPoint{name: "esteem_cluster_leases_reissued_total", help: "Re-grants of previously expired leases.", cval: cs.LeasesReissued},
-			metricPoint{name: "esteem_cluster_tasks_submitted_total", help: "Tasks entered into the lease table.", cval: cs.TasksSubmitted},
-			metricPoint{name: "esteem_cluster_tasks_completed_total", help: "Tasks completed by workers.", cval: cs.TasksCompleted},
-			metricPoint{name: "esteem_cluster_tasks_failed_total", help: "Tasks that failed on a worker.", cval: cs.TasksFailed},
-			metricPoint{name: "esteem_cluster_spans_injected_total", help: "Worker-shipped spans merged into the coordinator's tracer.", cval: cs.SpansInjected},
-			metricPoint{name: "esteem_cluster_spans_dropped_total", help: "Worker-shipped spans dropped (malformed, or no tracer).", cval: cs.SpansDropped},
+			metricsz.Counter("esteem_cluster_workers_joined_total", "Worker join registrations.", cs.WorkersJoined),
+			metricsz.Counter("esteem_cluster_workers_expired_total", "Workers expired for missing heartbeats.", cs.WorkersExpired),
+			metricsz.Counter("esteem_cluster_leases_issued_total", "Leases granted to workers.", cs.LeasesIssued),
+			metricsz.Counter("esteem_cluster_leases_expired_total", "Leases that timed out and re-queued.", cs.LeasesExpired),
+			metricsz.Counter("esteem_cluster_leases_reissued_total", "Re-grants of previously expired leases.", cs.LeasesReissued),
+			metricsz.Counter("esteem_cluster_tasks_submitted_total", "Tasks entered into the lease table.", cs.TasksSubmitted),
+			metricsz.Counter("esteem_cluster_tasks_completed_total", "Tasks completed by workers.", cs.TasksCompleted),
+			metricsz.Counter("esteem_cluster_tasks_failed_total", "Tasks that failed on a worker.", cs.TasksFailed),
+			metricsz.Counter("esteem_cluster_spans_injected_total", "Worker-shipped spans merged into the coordinator's tracer.", cs.SpansInjected),
+			metricsz.Counter("esteem_cluster_spans_dropped_total", "Worker-shipped spans dropped (malformed, or no tracer).", cs.SpansDropped),
 		)
 	}
-	hists = []histPoint{
-		{name: "esteem_serve_queue_wait_seconds", help: "Time jobs spent in the admission queue.", view: s.queueWaitHist.view()},
-		{name: "esteem_serve_job_cache_hit_seconds", help: "Job compute time for jobs served entirely from the result store.", view: s.computeHitHist.view()},
-		{name: "esteem_serve_job_compute_seconds", help: "Job compute time for jobs that executed at least one simulation.", view: s.computeMissHist.view()},
-	}
-	return gauges, counters, hists
+	series := append(gauges, counters...)
+	return append(series,
+		metricsz.Hist("esteem_serve_queue_wait_seconds", "Time jobs spent in the admission queue.", s.queueWaitHist.Snapshot()),
+		metricsz.Hist("esteem_serve_job_cache_hit_seconds", "Job compute time for jobs served entirely from the result store.", s.computeHitHist.Snapshot()),
+		metricsz.Hist("esteem_serve_job_compute_seconds", "Job compute time for jobs that executed at least one simulation.", s.computeMissHist.Snapshot()),
+	)
 }
 
 // MetricsSnapshot returns the current metrics as the JSON view (also
 // used in-process by tests and the load generator's e2e harness).
 func (s *Server) MetricsSnapshot() MetricsView {
-	gauges, counters, hists := s.metricsData()
-	v := MetricsView{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Gauges:        make(map[string]float64, len(gauges)),
-		Counters:      make(map[string]uint64, len(counters)),
-		Histograms:    make(map[string]HistogramView, len(hists)),
-	}
-	for _, g := range gauges {
-		v.Gauges[g.name] = g.gval
-	}
-	for _, c := range counters {
-		v.Counters[c.name] = c.cval
-	}
-	for _, h := range hists {
-		v.Histograms[h.name] = h.view
-	}
-	return v
+	return metricsz.NewSnapshot(time.Since(s.start).Seconds(), s.metricsSeries())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -138,27 +106,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.MetricsSnapshot())
 		return
 	}
-	gauges, counters, hists := s.metricsData()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", g.name, g.help, g.name, g.name, g.gval)
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.cval)
-	}
-	for _, h := range hists {
-		writeHist(w, h.name, h.help, h.view)
-	}
-}
-
-// writeHist emits one histogram in Prometheus text format. Bucket
-// counts are cumulative, as the format requires.
-func writeHist(w io.Writer, name, help string, v HistogramView) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	for _, b := range v.Buckets {
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, fmtFloat(b.LE), b.Count)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, v.Count)
-	fmt.Fprintf(w, "%s_sum %g\n", name, v.SumSeconds)
-	fmt.Fprintf(w, "%s_count %d\n", name, v.Count)
+	metricsz.WriteText(w, s.metricsSeries(), "")
 }

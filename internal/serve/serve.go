@@ -37,6 +37,7 @@ import (
 	"repro/internal/castore"
 	"repro/internal/cliflags"
 	"repro/internal/cluster"
+	"repro/internal/metricsz"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -148,9 +149,9 @@ type Server struct {
 	// Latency histograms exposed on /metrics: time jobs spend queued,
 	// and compute time split by whether the job was served entirely
 	// from the content-addressed store (hit) or ran simulations (miss).
-	queueWaitHist   *histogram
-	computeHitHist  *histogram
-	computeMissHist *histogram
+	queueWaitHist   *metricsz.Recorder
+	computeHitHist  *metricsz.Recorder
+	computeMissHist *metricsz.Recorder
 }
 
 // New builds a server and starts its job workers. Callers own the
@@ -168,9 +169,9 @@ func New(cfg Config) (*Server, error) {
 		cancel:          cancel,
 		jobs:            make(map[string]*Job),
 		queue:           make(chan *Job, cfg.QueueDepth),
-		queueWaitHist:   newHistogram(latencyBuckets),
-		computeHitHist:  newHistogram(latencyBuckets),
-		computeMissHist: newHistogram(latencyBuckets),
+		queueWaitHist:   metricsz.NewRecorder(latencyBuckets),
+		computeHitHist:  metricsz.NewRecorder(latencyBuckets),
+		computeMissHist: metricsz.NewRecorder(latencyBuckets),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -296,7 +297,7 @@ func (s *Server) runJob(j *Job) {
 	defer s.inFlight.Add(-1)
 
 	queueWait := time.Since(j.enqueued)
-	s.queueWaitHist.observe(queueWait.Seconds())
+	s.queueWaitHist.Observe(queueWait.Seconds())
 	j.queueSpan.End()
 
 	ctx := s.baseCtx
@@ -342,9 +343,9 @@ func (s *Server) runJob(j *Job) {
 	rsp.SetAttrInt("sims", int64(sims))
 	rsp.End()
 	if sims == 0 {
-		s.computeHitHist.observe(computeDur.Seconds())
+		s.computeHitHist.Observe(computeDur.Seconds())
 	} else {
-		s.computeMissHist.observe(computeDur.Seconds())
+		s.computeMissHist.Observe(computeDur.Seconds())
 	}
 	s.simsTotal.Add(sims)
 	s.instrTotal.Add(instr)

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metricsz"
 	"repro/internal/tracez"
 )
 
@@ -259,12 +260,12 @@ func TestMetricsHistogramsAndTracerStats(t *testing.T) {
 }
 
 func TestHistogramFormat(t *testing.T) {
-	h := newHistogram([]float64{0.1, 1})
-	h.observe(0.05)
-	h.observe(0.5)
-	h.observe(5)
+	h := metricsz.NewRecorder([]float64{0.1, 1})
+	h.Observe(0.05)
+	h.Observe(0.5)
+	h.Observe(5)
 	var b bytes.Buffer
-	writeHist(&b, "x_seconds", "help text", h.view())
+	metricsz.WriteText(&b, []metricsz.Series{metricsz.Hist("x_seconds", "help text", h.Snapshot())}, "")
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE x_seconds histogram",

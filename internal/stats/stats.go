@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used across the
 // simulator: running moments, arithmetic and geometric means, and
-// fixed-bucket histograms. The aggregation rules follow the paper
+// percentiles. The aggregation rules follow the paper
 // (Section 6.4): speedups are averaged with the geometric mean; every
 // other metric — which can be zero or negative — uses the arithmetic
 // mean.
@@ -139,80 +139,4 @@ func (r *Running) Merge(other Running) {
 	r.m2 += other.m2 + d*d*float64(r.n)*float64(other.n)/float64(n)
 	r.mean += d * float64(other.n) / float64(n)
 	r.n = n
-}
-
-// Histogram counts observations into fixed-width buckets over
-// [lo, hi); values outside the range land in saturating under/over
-// buckets. It is used for reuse-distance and stall-length profiles.
-type Histogram struct {
-	lo, hi  float64
-	width   float64
-	buckets []int64
-	under   int64
-	over    int64
-	count   int64
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-// It panics if n <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: NewHistogram requires n > 0")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram requires hi > lo")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.count++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.buckets) { // guard rounding at the top edge
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Count returns the total number of observations, including the
-// under/over buckets.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Bucket returns the count of bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// NumBuckets returns the number of in-range buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Under and Over return the out-of-range counts.
-func (h *Histogram) Under() int64 { return h.under }
-func (h *Histogram) Over() int64  { return h.over }
-
-// BucketBounds returns the [lo, hi) range of bucket i.
-func (h *Histogram) BucketBounds(i int) (float64, float64) {
-	return h.lo + float64(i)*h.width, h.lo + float64(i+1)*h.width
-}
-
-// MeanInRange returns the mean of in-range observations approximated
-// by bucket midpoints, or 0 if there are none.
-func (h *Histogram) MeanInRange() float64 {
-	var n int64
-	sum := 0.0
-	for i, c := range h.buckets {
-		lo, hi := h.BucketBounds(i)
-		sum += float64(c) * (lo + hi) / 2
-		n += c
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

@@ -158,85 +158,6 @@ func TestRunningMerge(t *testing.T) {
 	}
 }
 
-func TestHistogramBasic(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Under() != 1 || h.Over() != 2 {
-		t.Fatalf("under=%d over=%d", h.Under(), h.Over())
-	}
-	if h.Bucket(0) != 2 { // 0 and 1.9
-		t.Errorf("bucket0 = %d", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 { // 2
-		t.Errorf("bucket1 = %d", h.Bucket(1))
-	}
-	if h.Bucket(4) != 1 { // 9.99
-		t.Errorf("bucket4 = %d", h.Bucket(4))
-	}
-}
-
-func TestHistogramBounds(t *testing.T) {
-	h := NewHistogram(10, 20, 4)
-	lo, hi := h.BucketBounds(2)
-	if lo != 15 || hi != 17.5 {
-		t.Errorf("bounds = [%v,%v)", lo, hi)
-	}
-	if h.NumBuckets() != 4 {
-		t.Errorf("NumBuckets = %d", h.NumBuckets())
-	}
-}
-
-func TestHistogramMeanInRange(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(2.5) // bucket 2, midpoint 2.5
-	h.Add(7.5) // bucket 7, midpoint 7.5
-	if got := h.MeanInRange(); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("MeanInRange = %v, want 5", got)
-	}
-	empty := NewHistogram(0, 1, 1)
-	if empty.MeanInRange() != 0 {
-		t.Error("empty MeanInRange not 0")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(10, 10, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("bad NewHistogram did not panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestHistogramCountConservation(t *testing.T) {
-	err := quick.Check(func(raw []int16) bool {
-		h := NewHistogram(-100, 100, 8)
-		for _, v := range raw {
-			h.Add(float64(v))
-		}
-		var in int64
-		for i := 0; i < h.NumBuckets(); i++ {
-			in += h.Bucket(i)
-		}
-		return in+h.Under()+h.Over() == int64(len(raw))
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunningStddev(t *testing.T) {
 	var r Running
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
