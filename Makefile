@@ -52,14 +52,16 @@ race:
 bench:
 	go test -bench . -benchmem -run '^$$' ./internal/cache/ ./internal/sim/ ./internal/refrint/ .
 
-# Run the pinned hot-path benchmarks at a fixed benchtime and append a
-# dated entry to BENCH_sim.json (the checked-in perf trajectory).
+# Run the pinned hot-path benchmarks at a fixed benchtime and -cpu 1
+# and append a dated entry to BENCH_sim.json via esteem-gate (the
+# checked-in perf trajectory).
 bench-record:
 	./scripts/bench-record.sh
 
-# Gate the same benchmarks against the latest BENCH_sim.json entry:
-# >15% ns/op regression or any allocs/op increase fails (CI's
-# bench-gate lane).
+# Gate the same benchmarks with esteem-gate (CI's bench-gate lane):
+# first a self-test that a 1.2x-ns/op copy fails against the fresh
+# run, then the run against the latest BENCH_sim.json entry, where
+# >15% ns/op regression or any allocs/op increase fails.
 bench-check:
 	./scripts/bench-record.sh check
 
@@ -97,13 +99,14 @@ load:
 
 # Service-level benchmark lane (CI's load-smoke): boots a daemon,
 # drives an ~11s ramp+burst schedule, gates the report against
-# BENCH_serve.json, and proves the gate rejects a degraded copy.
+# BENCH_serve.json with esteem-gate, and proves the gate rejects a
+# degraded copy.
 load-smoke:
 	./scripts/load-smoke.sh
 
 # Re-baseline the service-level trajectory after an intentional
-# service change: same run as load-smoke, but the report is appended
-# to BENCH_serve.json instead of being gated.
+# service change: same run as load-smoke, but esteem-gate appends the
+# report to BENCH_serve.json instead of gating it.
 load-record:
 	./scripts/load-smoke.sh record
 

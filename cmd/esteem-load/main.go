@@ -5,7 +5,7 @@
 // it, and writes the measured service-level outcome — p50/p99/p999
 // latency, throughput, 429/error counts, queue wait and the cache
 // hit/miss split scraped from /metrics — as a JSON report consumable
-// by esteem-servegate.
+// by esteem-gate.
 //
 // Examples:
 //

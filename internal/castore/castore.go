@@ -114,6 +114,8 @@ type Stats struct {
 	Computes uint64
 	// Coalesced counts GetOrCompute callers that waited on another
 	// caller's in-flight computation instead of running their own.
+	// Each GetOrCompute call counts exactly one of Hits, Misses and
+	// Coalesced.
 	Coalesced uint64
 	// PrefixHits and PrefixMisses count BestCheckpoint lookups that
 	// found (respectively, failed to find) a usable prefix checkpoint;
@@ -156,6 +158,11 @@ type Store struct {
 	prefixHits   atomic.Uint64
 	prefixMisses atomic.Uint64
 	prefixSaved  atomic.Uint64
+
+	// testHookMiss, when set, runs after GetOrCompute's first lookup
+	// misses and before it joins or registers a flight, so tests can
+	// force the interleavings around that window.
+	testHookMiss func()
 }
 
 // entry is one cached artifact in the LRU layer.
@@ -236,8 +243,9 @@ func (s *Store) Get(key string) (data []byte, ok bool, err error) {
 }
 
 // lookup is Get without miss accounting (hits are always counted):
-// GetOrCompute re-checks the store after registering its flight, and
-// that second probe must not inflate the miss counter.
+// GetOrCompute counts a miss only once neither an in-flight compute
+// nor its post-registration re-check served the call, so each call
+// counts exactly one of hit, miss or coalesced.
 func (s *Store) lookup(key string) (data []byte, ok bool, err error) {
 	s.mu.Lock()
 	if el, hit := s.entries[key]; hit {
@@ -321,13 +329,16 @@ func (s *Store) GetOrCompute(ctx context.Context, key string, compute func(conte
 	// persist), nil-safe and free when the context carries no span.
 	sp := tracez.FromContext(ctx)
 	lsp := sp.Child("store-get")
-	data, ok, err := s.Get(key)
+	data, ok, err := s.lookup(key)
 	lsp.SetAttr("hit", strconv.FormatBool(ok && err == nil))
 	lsp.End()
 	if err != nil {
 		return nil, false, err
 	} else if ok {
 		return data, true, nil
+	}
+	if s.testHookMiss != nil {
+		s.testHookMiss()
 	}
 
 	s.mu.Lock()
@@ -356,6 +367,7 @@ func (s *Store) GetOrCompute(ctx context.Context, key string, compute func(conte
 		return data, ok, gerr
 	}
 
+	s.misses.Add(1)
 	s.computes.Add(1)
 	data, err = compute(ctx)
 	if err == nil {

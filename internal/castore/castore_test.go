@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -319,4 +320,81 @@ func TestGetOrComputeHitSkipsCompute(t *testing.T) {
 	if err != nil || !cached || string(data) != "stored" {
 		t.Fatalf("got %q cached %v err %v", data, cached, err)
 	}
+}
+
+// TestGetOrComputeCountsEachCallOnce forces the two interleavings
+// where a call's first lookup misses but something other than its own
+// compute serves it. Each call must count exactly one of hit, miss
+// and coalesced, or the hit rate load reports derive from these
+// counters drifts.
+func TestGetOrComputeCountsEachCallOnce(t *testing.T) {
+	ctx := context.Background()
+	key := testKey(t, 1)
+	noCompute := func(context.Context) ([]byte, error) {
+		t.Error("compute ran for a call another source should serve")
+		return nil, errors.New("unexpected compute")
+	}
+
+	t.Run("miss-joins-flight", func(t *testing.T) {
+		s, err := Open(t.TempDir(), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		started, release := make(chan struct{}), make(chan struct{})
+		leader := make(chan error, 1)
+		go func() {
+			_, _, err := s.GetOrCompute(ctx, key, func(context.Context) ([]byte, error) {
+				close(started)
+				<-release
+				return []byte("computed"), nil
+			})
+			leader <- err
+		}()
+		<-started
+		// The leader's flight is registered and nothing is stored yet,
+		// so a second call misses the store and joins the flight.
+		waiter := make(chan error, 1)
+		go func() {
+			data, cached, err := s.GetOrCompute(ctx, key, noCompute)
+			if err == nil && (!cached || string(data) != "computed") {
+				err = fmt.Errorf("waiter got %q cached %v", data, cached)
+			}
+			waiter <- err
+		}()
+		for s.Stats().Coalesced == 0 {
+			runtime.Gosched()
+		}
+		close(release)
+		if err := <-leader; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-waiter; err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Hits != 0 || st.Misses != 1 || st.Coalesced != 1 || st.Computes != 1 {
+			t.Fatalf("stats = %+v, want 0 hits, 1 miss, 1 coalesced, 1 compute", st)
+		}
+	})
+
+	t.Run("miss-then-recheck-hits", func(t *testing.T) {
+		s, err := Open(t.TempDir(), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The artifact lands after the first lookup misses and before
+		// the call registers its flight, as when an earlier flight
+		// drains in that window.
+		s.testHookMiss = func() {
+			if err := s.Put(key, []byte("stored")); err != nil {
+				t.Error(err)
+			}
+		}
+		data, cached, err := s.GetOrCompute(ctx, key, noCompute)
+		if err != nil || !cached || string(data) != "stored" {
+			t.Fatalf("got %q cached %v err %v", data, cached, err)
+		}
+		if st := s.Stats(); st.Hits != 1 || st.Misses != 0 || st.Coalesced != 0 || st.Computes != 0 {
+			t.Fatalf("stats = %+v, want 1 hit, 0 misses, 0 coalesced, 0 computes", st)
+		}
+	})
 }

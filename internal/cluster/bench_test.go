@@ -3,7 +3,7 @@
 // observability worker did. Tracing is nil-span gated, so a worker
 // without a Tracer (or a task without a traceparent) takes the same
 // path this benchmark measures; BENCH_sim.json records the trajectory
-// and the benchgate rejects any allocs/op increase.
+// and esteem-gate rejects any allocs/op increase.
 package cluster
 
 import (

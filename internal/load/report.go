@@ -1,14 +1,10 @@
-// Report is the load generator's output and the unit the
-// BENCH_serve.json trajectory records: per-phase and overall
-// latency/throughput plus server-side cache behaviour, with the gate
-// logic esteem-servegate applies in CI.
+// Report is the load generator's output and the input esteem-gate
+// records into the BENCH_serve.json trajectory: per-phase and overall
+// latency/throughput plus server-side cache behaviour.
 package load
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sort"
 )
@@ -96,7 +92,8 @@ type HistBucket struct {
 	Count uint64  `json:"count"`
 }
 
-// Report is one dated load-generator run: one BENCH_serve.json entry.
+// Report is one dated load-generator run; esteem-gate flattens it
+// into one BENCH_serve.json entry.
 type Report struct {
 	Date   string `json:"date"`
 	Go     string `json:"go"`
@@ -125,145 +122,4 @@ func (r *Report) stampHost() {
 	r.GOOS = runtime.GOOS
 	r.GOARCH = runtime.GOARCH
 	r.CPUs = runtime.NumCPU()
-}
-
-// Trajectory is the checked-in BENCH_serve.json layout: the same
-// schema/entries model as esteem-benchgate's BENCH_sim.json.
-type Trajectory struct {
-	Schema  int      `json:"schema"`
-	Entries []Report `json:"entries"`
-}
-
-// LoadTrajectory reads a trajectory file; a missing file is an empty
-// trajectory.
-func LoadTrajectory(path string) (Trajectory, error) {
-	var tr Trajectory
-	b, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return Trajectory{Schema: 1}, nil
-		}
-		return tr, err
-	}
-	if err := json.Unmarshal(b, &tr); err != nil {
-		return tr, fmt.Errorf("%s: %w", path, err)
-	}
-	return tr, nil
-}
-
-// SaveTrajectory writes the trajectory back.
-func SaveTrajectory(path string, tr Trajectory) error {
-	tr.Schema = 1
-	b, err := json.MarshalIndent(tr, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// Latest returns the most recent entry, or nil.
-func (tr Trajectory) Latest() *Report {
-	if len(tr.Entries) == 0 {
-		return nil
-	}
-	return &tr.Entries[len(tr.Entries)-1]
-}
-
-// Thresholds parameterises the service-level gate. Service latency on
-// shared CI runners is far noisier than ns/op microbenchmarks, so the
-// relative bounds default loose; the absolute sanity checks (non-zero
-// latency and throughput, bounded error rate, hit rate matching the
-// configured mix) hold regardless of baseline.
-type Thresholds struct {
-	// MaxP99Factor bounds overall p99 at factor x the baseline's
-	// (default 10).
-	MaxP99Factor float64
-	// MinThroughputFactor bounds overall achieved RPS at factor x the
-	// baseline's (default 0.25).
-	MinThroughputFactor float64
-	// MaxErrorRate bounds errors/requests (429s excluded; default 0.01).
-	MaxErrorRate float64
-	// HitRateTolerance bounds |measured hit rate - configured hot
-	// fraction| (default 0.15; negative disables).
-	HitRateTolerance float64
-}
-
-func (t *Thresholds) fill() {
-	if t.MaxP99Factor <= 0 {
-		t.MaxP99Factor = 10
-	}
-	if t.MinThroughputFactor <= 0 {
-		t.MinThroughputFactor = 0.25
-	}
-	if t.MaxErrorRate <= 0 {
-		t.MaxErrorRate = 0.01
-	}
-	if t.HitRateTolerance == 0 {
-		t.HitRateTolerance = 0.15
-	}
-}
-
-// Check gates a report: absolute sanity always, relative bounds
-// against base when non-nil. It returns the first violation.
-func Check(base *Report, rep Report, th Thresholds) error {
-	th.fill()
-	o := rep.Overall
-	if o.Requests == 0 {
-		return fmt.Errorf("load gate: report carries no requests")
-	}
-	if o.Completed == 0 {
-		return fmt.Errorf("load gate: no request completed (%d rejected, %d errors)", o.Rejected, o.Errors)
-	}
-	if o.Latency.P50 <= 0 || o.Latency.P99 <= 0 {
-		return fmt.Errorf("load gate: degenerate latency quantiles (p50=%.3fms p99=%.3fms)", o.Latency.P50, o.Latency.P99)
-	}
-	if o.AchievedRPS <= 0 {
-		return fmt.Errorf("load gate: zero achieved throughput")
-	}
-	if rate := float64(o.Errors) / float64(o.Requests); rate > th.MaxErrorRate {
-		return fmt.Errorf("load gate: error rate %.3f exceeds %.3f (%d/%d failed)",
-			rate, th.MaxErrorRate, o.Errors, o.Requests)
-	}
-	if th.HitRateTolerance >= 0 {
-		if d := math.Abs(rep.Cache.HitRate - rep.HotFraction); d > th.HitRateTolerance {
-			return fmt.Errorf("load gate: cache hit rate %.3f vs configured hot fraction %.3f (|Δ|=%.3f > %.3f)",
-				rep.Cache.HitRate, rep.HotFraction, d, th.HitRateTolerance)
-		}
-	}
-	if base == nil {
-		return nil
-	}
-	b := base.Overall
-	if b.Latency.P99 > 0 && o.Latency.P99 > th.MaxP99Factor*b.Latency.P99 {
-		return fmt.Errorf("load gate: p99 %.2fms exceeds %gx baseline %.2fms",
-			o.Latency.P99, th.MaxP99Factor, b.Latency.P99)
-	}
-	if b.AchievedRPS > 0 && o.AchievedRPS < th.MinThroughputFactor*b.AchievedRPS {
-		return fmt.Errorf("load gate: throughput %.1f rps below %gx baseline %.1f rps",
-			o.AchievedRPS, th.MinThroughputFactor, b.AchievedRPS)
-	}
-	return nil
-}
-
-// Degrade returns a copy of the report with latencies inflated and
-// throughput deflated by factor: a synthetic regression that a
-// correct gate must reject (the load-smoke lane's self-test).
-func Degrade(rep Report, factor float64) Report {
-	out := rep
-	scaleQ := func(q Quantiles) Quantiles {
-		q.P50 *= factor
-		q.P99 *= factor
-		q.P999 *= factor
-		q.Max *= factor
-		q.Mean *= factor
-		return q
-	}
-	out.Overall.Latency = scaleQ(out.Overall.Latency)
-	out.Overall.AchievedRPS /= factor
-	out.Phases = append([]PhaseReport(nil), rep.Phases...)
-	for i := range out.Phases {
-		out.Phases[i].Latency = scaleQ(out.Phases[i].Latency)
-		out.Phases[i].AchievedRPS /= factor
-	}
-	return out
 }

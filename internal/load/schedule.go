@@ -4,9 +4,9 @@
 // daemon with them without ever gating arrivals on completions, and
 // records the service-level outcome — p50/p99/p999 latency,
 // throughput, 429 and error counts, queue wait and the cache hit/miss
-// split scraped from /metrics — as a Report. Reports append to the
-// checked-in BENCH_serve.json trajectory and gate CI regressions via
-// esteem-servegate, the service-level sibling of esteem-benchgate.
+// split scraped from /metrics — as a Report. esteem-gate appends
+// reports to the checked-in BENCH_serve.json trajectory and gates CI
+// regressions against it.
 //
 // The schedule model follows the invitro trace synthesizer: a list of
 // constant-rate slots described by a starting RPS, a step size and a

@@ -7,8 +7,8 @@
 # mix), and then:
 #
 #   default: gates the fresh report against the latest BENCH_serve.json
-#            entry with esteem-servegate, and proves the gate is live
-#            by checking a synthetically degraded copy of the same
+#            entry with esteem-gate, and proves the gate is live by
+#            checking a synthetically degraded copy of the same
 #            report, which MUST fail;
 #   record:  appends the fresh report to BENCH_serve.json instead
 #            (`make load-record`, run after intentional service
@@ -32,7 +32,7 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 echo "== building binaries =="
-go build -o "$WORK/" ./cmd/esteem-serve ./cmd/esteem-load ./cmd/esteem-servegate
+go build -o "$WORK/" ./cmd/esteem-serve ./cmd/esteem-load ./cmd/esteem-gate
 
 echo "== booting daemon =="
 "$WORK/esteem-serve" -addr 127.0.0.1:0 -addr-file "$WORK/addr" \
@@ -53,15 +53,15 @@ echo "== open-loop ramp + burst (~11s, 50% hot mix) =="
 
 case "$MODE" in
 record)
-    "$WORK/esteem-servegate" -record BENCH_serve.json -in "$OUT/report.json"
+    "$WORK/esteem-gate" -record BENCH_serve.json -in "$OUT/report.json"
     ;;
 check)
     echo "== service-level gate =="
-    "$WORK/esteem-servegate" -check BENCH_serve.json -in "$OUT/report.json"
+    "$WORK/esteem-gate" -check BENCH_serve.json -in "$OUT/report.json"
 
     echo "== gate self-test (degraded copy must fail) =="
-    "$WORK/esteem-servegate" -degrade 50 -in "$OUT/report.json" >"$OUT/degraded.json"
-    if "$WORK/esteem-servegate" -check BENCH_serve.json -in "$OUT/degraded.json" >"$WORK/degraded.out" 2>&1; then
+    "$WORK/esteem-gate" -degrade 50 -in "$OUT/report.json" >"$OUT/degraded.json"
+    if "$WORK/esteem-gate" -check BENCH_serve.json -in "$OUT/degraded.json" >"$WORK/degraded.out" 2>&1; then
         echo "gate PASSED a 50x-degraded report; thresholds are dead" >&2
         cat "$WORK/degraded.out" >&2
         exit 1
