@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/rendezvous"
 	"repro/internal/sim"
 )
 
@@ -283,8 +284,14 @@ func TestGetOrComputeWaiterCancellation(t *testing.T) {
 	key := testKey(t, 1)
 	started := make(chan struct{})
 	gate := make(chan struct{})
+	// The slow compute writes its artifact after the gate opens; wait
+	// for it so TempDir cleanup never races the write.
+	computed := make(chan struct{})
+	defer func() { <-computed }()
+	defer close(gate)
 
 	go func() {
+		defer close(computed)
 		s.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
 			close(started)
 			<-gate
@@ -301,7 +308,6 @@ func TestGetOrComputeWaiterCancellation(t *testing.T) {
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	close(gate)
 }
 
 func TestGetOrComputeHitSkipsCompute(t *testing.T) {
@@ -395,6 +401,45 @@ func TestGetOrComputeCountsEachCallOnce(t *testing.T) {
 		}
 		if st := s.Stats(); st.Hits != 1 || st.Misses != 0 || st.Coalesced != 0 || st.Computes != 0 {
 			t.Fatalf("stats = %+v, want 1 hit, 0 misses, 0 coalesced, 0 computes", st)
+		}
+	})
+
+	t.Run("sharded", func(t *testing.T) {
+		c := newTestCluster(t, 3)
+		members := c.members()
+		owners := rendezvous.Owners(key, members, 2)
+		var other string
+		for _, m := range members {
+			if m != owners[0] && m != owners[1] {
+				other = m
+			}
+		}
+		a, b := c.sharded(owners[0]), c.sharded(other)
+		compute := func(context.Context) ([]byte, error) { return []byte("computed"), nil }
+		// A cluster-wide miss is one local miss, not one in the shard
+		// probe and another in the local store.
+		if _, cached, err := a.GetOrCompute(ctx, key, compute); err != nil || cached {
+			t.Fatalf("cached %v err %v", cached, err)
+		}
+		if st := a.Stats(); st.Hits != 0 || st.Misses != 1 || st.Coalesced != 0 || st.Computes != 1 {
+			t.Fatalf("stats = %+v, want 0 hits, 1 miss, 0 coalesced, 1 compute", st)
+		}
+		if _, cached, err := a.GetOrCompute(ctx, key, noCompute); err != nil || !cached {
+			t.Fatalf("cached %v err %v", cached, err)
+		}
+		if st := a.Stats(); st.Hits != 1 || st.Misses != 1 {
+			t.Fatalf("stats = %+v, want 1 hit, 1 miss", st)
+		}
+		// A non-owner is served by an owner's replica: one remote hit
+		// and no local miss. (b's store already counted a miss when a
+		// probed it as a peer, so compare against that.)
+		before := b.Stats()
+		if _, cached, err := b.GetOrCompute(ctx, key, noCompute); err != nil || !cached {
+			t.Fatalf("cached %v err %v", cached, err)
+		}
+		if st := b.Stats(); st.RemoteHits != before.RemoteHits+1 || st.Hits != before.Hits ||
+			st.Misses != before.Misses || st.Computes != 0 {
+			t.Fatalf("stats %+v -> %+v, want 1 more remote hit and nothing local", before, st)
 		}
 	})
 }

@@ -120,14 +120,20 @@ func (s *Sharded) Get(key string) ([]byte, bool, error) {
 	return s.getCtx(context.Background(), key)
 }
 
-// getCtx is Get with trace propagation: when ctx carries a sampled
-// span AND the local store misses, the remote probe sequence runs
-// under a "shard-get" child whose traceparent travels on every peer
-// request. The local-hit fast path does no tracing work at all.
+// getCtx is Get with trace propagation. The local-hit fast path does
+// no tracing work at all.
 func (s *Sharded) getCtx(ctx context.Context, key string) ([]byte, bool, error) {
 	if data, ok, err := s.local.Get(key); err != nil || ok {
 		return data, ok, err
 	}
+	return s.getRemote(ctx, key)
+}
+
+// getRemote probes the key's owners, then every other member, after a
+// local miss. When ctx carries a sampled span the probe sequence runs
+// under a "shard-get" child whose traceparent travels on every peer
+// request.
+func (s *Sharded) getRemote(ctx context.Context, key string) ([]byte, bool, error) {
 	sp := tracez.FromContext(ctx).Child("shard-get")
 	sp.SetAttr("key", shortKey(key))
 	defer sp.End()
@@ -238,8 +244,17 @@ func (s *Sharded) Put(key string, data []byte) error {
 // cluster-wide miss. The compute runs under the local store's
 // single-flight lock and its result replicates to the key's owners
 // before the call returns.
+//
+// Each call counts once: the local probe is the store's non-counting
+// lookup, so a call is either a remote hit or exactly one of the local
+// store's hit, miss or coalesced.
 func (s *Sharded) GetOrCompute(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) ([]byte, bool, error) {
-	if data, ok, err := s.getCtx(ctx, key); err != nil {
+	if data, ok, err := s.local.lookup(key); err != nil {
+		return nil, false, err
+	} else if ok {
+		return data, true, nil
+	}
+	if data, ok, err := s.getRemote(ctx, key); err != nil {
 		return nil, false, err
 	} else if ok {
 		return data, true, nil

@@ -50,7 +50,30 @@ func (k StallKind) String() string {
 // Core is one simulated core executing a workload source.
 type Core struct {
 	id  int
-	gen trace.Source
+	src trace.Source
+	// fill is src as a block filler; nil when src only has Next.
+	fill filler
+	// offset relocates the core's addresses into its own address space.
+	offset uint64
+
+	// blk is the block being consumed (nil when none is held); the
+	// next reference is blk[pos], and blk holds n references.
+	blk    *trace.Block
+	pos, n int
+	// read counts the references taken from src net of dropped
+	// look-ahead; the producer may start only once it reaches
+	// prefixRefs.
+	read uint64
+	// pipelined allows a producer (see Pipeline); prod is the running
+	// one, if any.
+	pipelined bool
+	prod      *producer
+	// own is the block the core fills itself, backed by the arrays
+	// below so that building a core stays one allocation.
+	own      trace.Block
+	ownAddr  [syncRefs]uint64
+	ownGap   [syncRefs]int
+	ownWrite [syncRefs]bool
 
 	clock        uint64
 	instructions uint64
@@ -68,9 +91,14 @@ type Core struct {
 }
 
 // New builds a core over a reference source (a synthetic generator,
-// a trace replayer, or any user-supplied Source).
-func New(id int, gen trace.Source) *Core {
-	return &Core{id: id, gen: gen}
+// a trace replayer, or any user-supplied Source). offset is added to
+// every address the source produces, so that the cores of a
+// multiprogrammed workload do not alias in a shared cache.
+func New(id int, src trace.Source, offset uint64) *Core {
+	c := &Core{id: id, src: src, offset: offset}
+	c.fill, _ = src.(filler)
+	c.own = trace.Block{Addr: c.ownAddr[:], Gap: c.ownGap[:], Write: c.ownWrite[:], Offset: offset}
+	return c
 }
 
 // ID returns the core's index.
@@ -82,14 +110,19 @@ func (c *Core) Clock() uint64 { return c.clock }
 // Instructions returns the instructions retired so far.
 func (c *Core) Instructions() uint64 { return c.instructions }
 
-// NextRef pulls the next memory reference from the benchmark and
+// NextRef takes the next memory reference from the benchmark and
 // retires the instructions leading up to and including it (Gap
 // non-memory instructions plus the memory operation itself, at one
-// cycle each).
-func (c *Core) NextRef() trace.Ref {
-	r := c.gen.Next()
-	c.retire(uint64(r.Gap) + 1)
-	return r
+// cycle each). It returns the reference's relocated address and
+// whether it is a store.
+func (c *Core) NextRef() (addr uint64, write bool) {
+	if c.pos == c.n {
+		c.refill()
+	}
+	b, i := c.blk, c.pos
+	c.pos++
+	c.retire(uint64(b.Gap[i]) + 1)
+	return b.Addr[i], b.Write[i]
 }
 
 // retire advances instructions and the clock at base CPI 1, updating

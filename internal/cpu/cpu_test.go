@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -12,12 +13,16 @@ func newCore(t testing.TB) *Core {
 	if !ok {
 		t.Fatal("gcc profile missing")
 	}
-	return New(0, trace.MustNewGenerator(p, 1))
+	return New(0, trace.MustNewGenerator(p, 1), 0)
 }
 
 func TestNextRefAdvancesClockAndInstructions(t *testing.T) {
 	c := newCore(t)
-	r := c.NextRef()
+	p, _ := trace.ProfileByName("gcc")
+	r := trace.MustNewGenerator(p, 1).Next()
+	if addr, write := c.NextRef(); addr != r.Addr || write != r.Write {
+		t.Fatalf("NextRef = (%#x, %v), want (%#x, %v)", addr, write, r.Addr, r.Write)
+	}
 	want := uint64(r.Gap) + 1
 	if c.Instructions() != want {
 		t.Fatalf("instructions = %d, want %d", c.Instructions(), want)
@@ -142,8 +147,85 @@ func TestBeginMeasurementPanicsOnZero(t *testing.T) {
 
 func TestID(t *testing.T) {
 	p, _ := trace.ProfileByName("gcc")
-	c := New(3, trace.MustNewGenerator(p, 1))
+	c := New(3, trace.MustNewGenerator(p, 1), 0)
 	if c.ID() != 3 {
 		t.Fatal("ID wrong")
+	}
+}
+
+// TestBlocksFollowSource: a core's references are its source's, with
+// the core's offset added, through the synchronous prefix and the
+// producer's blocks; Sync at any position, including a block end where
+// the producer is already ahead, leaves the source exactly where the
+// core is, and reading continues seamlessly after it.
+func TestBlocksFollowSource(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		defer runtime.GOMAXPROCS(prev)
+	}
+	const offset = 1 << 44
+	p, _ := trace.ProfileByName("xalancbmk")
+	for _, at := range []int{0, 100, syncRefs, 7 * syncRefs, prefixRefs + pipeRefs, prefixRefs + 2*pipeRefs + 5} {
+		gen, ref := trace.MustNewGenerator(p, 3), trace.MustNewGenerator(p, 3)
+		c := New(1, gen, offset)
+		c.Pipeline(true)
+		read := func(n int) {
+			for i := 0; i < n; i++ {
+				r := ref.Next()
+				if addr, write := c.NextRef(); addr != r.Addr+offset || write != r.Write {
+					t.Fatalf("at %d: ref %d: (%#x, %v), want (%#x, %v)", at, i, addr, write, r.Addr+offset, r.Write)
+				}
+			}
+		}
+		read(at)
+		if pipelined := c.prod != nil; pipelined != (at > prefixRefs) {
+			t.Fatalf("at %d: producer running = %v", at, pipelined)
+		}
+		c.Sync()
+		if gen.Refs() != ref.Refs() {
+			t.Fatalf("at %d: source at ref %d after Sync, core at %d", at, gen.Refs(), ref.Refs())
+		}
+		read(pipeRefs + 1)
+		c.Pipeline(false)
+		if c.prod != nil {
+			t.Fatalf("at %d: producer survives Pipeline(false)", at)
+		}
+	}
+}
+
+// TestNoProducerOnOneProc: with a single processor a producer would
+// only add switching, so none starts.
+func TestNoProducerOnOneProc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := newCore(t)
+	c.Pipeline(true)
+	for i := 0; i < prefixRefs+2*pipeRefs; i++ {
+		c.NextRef()
+	}
+	if c.prod != nil {
+		t.Fatal("producer started with GOMAXPROCS=1")
+	}
+}
+
+// TestNextSourcesReadOnDemand: a source without Fill is never read
+// ahead of the core.
+func TestNextSourcesReadOnDemand(t *testing.T) {
+	p, _ := trace.ProfileByName("gcc")
+	rp, err := trace.NewReplayer("gcc", trace.Record(trace.MustNewGenerator(p, 1), 10), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(0, rp, 0)
+	c.Pipeline(true)
+	defer c.Pipeline(false)
+	for i := 0; i < 10; i++ {
+		c.NextRef()
+	}
+	if rp.Loops() != 1 {
+		t.Fatalf("replayer loops = %d after exactly one pass, want 1", rp.Loops())
+	}
+	c.NextRef()
+	if rp.Loops() != 1 {
+		t.Fatal("replayer read ahead of the core")
 	}
 }

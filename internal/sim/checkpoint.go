@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/ckpt"
 	"repro/internal/energy"
@@ -100,11 +101,14 @@ func (s *Simulator) Checkpoint() ([]byte, error) {
 	w.Int(s.l2.NumSets())
 	w.Int(s.l2.Params().Assoc)
 	for i, c := range s.cores {
-		c.AppendState(w)
 		src, ok := s.srcs[i].(statefulComponent)
 		if !ok {
 			return nil, fmt.Errorf("sim: source %q (core %d) does not support checkpointing", s.srcs[i].Name(), i)
 		}
+		// The source's state must be the core's position, not the end
+		// of its look-ahead.
+		c.Sync()
+		c.AppendState(w)
 		src.AppendState(w)
 	}
 	for _, l1 := range s.l1 {
@@ -149,6 +153,8 @@ func (s *Simulator) RestoreCheckpoint(data []byte) error {
 			cores, technique, technology, seed, sets, assoc)
 	}
 	for i, c := range s.cores {
+		// Drop the look-ahead read from the state being replaced.
+		c.Sync()
 		if err := c.RestoreState(r); err != nil {
 			return err
 		}
@@ -193,6 +199,9 @@ func (s *Simulator) RestoreCheckpoint(data []byte) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
+	// The scheduling heap is derived from the core clocks rather than
+	// serialised; a sorted order is a valid heap.
+	sort.Slice(s.order, func(i, j int) bool { return s.coreLess(s.order[i], s.order[j]) })
 	// Re-arm the measurement windows for this run's horizon. A core
 	// whose measured count already reached the horizon cannot resume —
 	// its window-end snapshot was taken mid-run and is not part of the
@@ -321,6 +330,5 @@ func readActivity(r *ckpt.Reader) energy.Activity {
 }
 
 // Sources returns the per-core workload sources as supplied to the
-// constructor (before address-space offsetting); tests use it to
-// drive source-level assertions.
+// constructor; tests use it to drive source-level assertions.
 func (s *Simulator) Sources() []trace.Source { return s.srcs }

@@ -405,8 +405,8 @@ type Simulator struct {
 	cfg        Config
 	benchNames []string
 	cores      []*cpu.Core
-	// srcs holds the per-core workload sources as supplied (before the
-	// address-offset wrapping), so checkpointing can reach their state.
+	// srcs holds the per-core workload sources, so checkpointing can
+	// reach their state.
 	srcs []trace.Source
 	// effMemLat[i] is core i's exposed miss latency: the fixed memory
 	// latency divided by the benchmark's MLP factor (DESIGN.md —
@@ -525,10 +525,7 @@ func NewFromSources(cfg Config, sources []trace.Source) (*Simulator, error) {
 			return nil, fmt.Errorf("sim: nil source for core %d", i)
 		}
 		s.benchNames = append(s.benchNames, src.Name())
-		if i > 0 {
-			src = &offsetSource{Source: src, offset: uint64(i) << 44}
-		}
-		s.cores = append(s.cores, cpu.New(i, src))
+		s.cores = append(s.cores, cpu.New(i, src, uint64(i)<<44))
 		mlp := src.MLPFactor()
 		if mlp < 1 {
 			mlp = 1
@@ -732,20 +729,6 @@ func (s *Simulator) SetObserver(o obs.Observer) { s.obsv = o }
 // TestTracingDisabledNoAllocs and the SimRunShort benchmark).
 func (s *Simulator) SetTraceSpan(sp *tracez.Span) { s.tspan = sp }
 
-// offsetSource relocates a workload's address space by a fixed
-// offset (one distinct 16 TiB region per core).
-type offsetSource struct {
-	trace.Source
-	offset uint64
-}
-
-// Next shifts every reference by the core's offset.
-func (o *offsetSource) Next() trace.Ref {
-	r := o.Source.Next()
-	r.Addr += o.offset
-	return r
-}
-
 // frontier returns the minimum core clock — the simulation's wall
 // time. O(1): the heap root is the earliest core.
 func (s *Simulator) frontier() uint64 {
@@ -794,10 +777,11 @@ func (s *Simulator) step() {
 
 // stepCore executes one memory reference on core c.
 func (s *Simulator) stepCore(c *cpu.Core) {
-	ref := c.NextRef()
+	a, write := c.NextRef()
+	addr := cache.Addr(a)
 
 	var r1 cache.AccessResult
-	s.l1[c.ID()].AccessInto(cache.Addr(ref.Addr), ref.Write, &r1)
+	s.l1[c.ID()].AccessInto(addr, write, &r1)
 	if r1.Hit {
 		return
 	}
@@ -809,7 +793,6 @@ func (s *Simulator) stepCore(c *cpu.Core) {
 	// Refrint touch bookkeeping, which fires on L2 events only.
 	now := c.Clock()
 	s.clk.Cycle = now
-	addr := cache.Addr(ref.Addr)
 	bank := s.l2.BankOf(s.l2.SetIndex(addr))
 	if d := s.eng.AccessDelay(bank, now); d > 0 {
 		c.Stall(d, cpu.StallRefresh)
@@ -1139,8 +1122,19 @@ func (s *Simulator) runMeasured() {
 	}
 }
 
+// pipeline allows (on) or stops the cores' reference producers. Run
+// and ResumeRun allow them for their own duration only, so no
+// producer goroutine outlives a call into the simulator.
+func (s *Simulator) pipeline(on bool) {
+	for _, c := range s.cores {
+		c.Pipeline(on)
+	}
+}
+
 // Run executes warmup plus measurement and returns the result.
 func (s *Simulator) Run() (*Result, error) {
+	s.pipeline(true)
+	defer s.pipeline(false)
 	s.runWarmup()
 	s.beginMeasurement()
 	if s.ckptHook != nil {
@@ -1170,6 +1164,8 @@ func (s *Simulator) ResumeRun() (*Result, error) {
 		s.phaseSpan = s.tspan.Child("measure-resumed")
 		s.ivalSpan = s.phaseSpan.Child("interval")
 	}
+	s.pipeline(true)
+	defer s.pipeline(false)
 	s.runMeasured()
 	if s.tspan != nil {
 		fin := s.tspan.Child("energy-finalize")

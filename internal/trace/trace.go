@@ -231,7 +231,7 @@ const (
 // Generator produces the reference stream of one benchmark.
 type Generator struct {
 	p    Profile
-	rng  *xrand.RNG
+	rng  xrand.RNG
 	zipf *xrand.Zipf
 	// zipfKey is the hot-size key g.zipf was selected with (needed to
 	// re-identify the active sampler after a checkpoint restore).
@@ -243,6 +243,12 @@ type Generator struct {
 	// (gap sampling dominated simulator profiles).
 	geoGap   *xrand.GeoSampler
 	geoBurst *xrand.GeoSampler
+
+	// localFrac and localWords resolve the profile's local-region
+	// defaults once: Profile is large, and calling its value-receiver
+	// methods per reference copied it every time.
+	localFrac  float64
+	localWords uint64
 
 	streamPos   uint64
 	streamBytes uint64
@@ -277,10 +283,12 @@ func NewGenerator(p Profile, seed uint64) (*Generator, error) {
 	}
 	g := &Generator{
 		p:           p,
-		rng:         xrand.New(seed ^ hashName(p.Name)),
 		zipfCache:   make(map[int]*xrand.Zipf),
+		localFrac:   p.EffectiveLocalFrac(),
+		localWords:  uint64(p.EffectiveLocalKB()) * 1024 / strideBytes,
 		streamBytes: defaultStreamBytes,
 	}
+	g.rng.Seed(seed ^ hashName(p.Name))
 	if p.StreamKB > 0 {
 		g.streamBytes = uint64(p.StreamKB) * 1024
 	}
@@ -337,6 +345,13 @@ func (g *Generator) Phase() int { return g.phaseIdx }
 
 // Next produces the next memory reference.
 func (g *Generator) Next() Ref {
+	addr, gap, write, kind := g.next()
+	return Ref{Addr: addr, Write: write, Gap: gap, Kind: kind}
+}
+
+// next draws one reference. It is the single generation body behind
+// Next and Fill, so both produce the same stream from the same state.
+func (g *Generator) next() (addr uint64, gap int, write bool, kind Kind) {
 	// Phase switching.
 	if g.p.PhaseLenRefs > 0 && g.refs > 0 && g.refs%uint64(g.p.PhaseLenRefs) == 0 {
 		g.phaseIdx = int(g.refs/uint64(g.p.PhaseLenRefs)) % len(g.p.PhaseHotKB)
@@ -345,60 +360,49 @@ func (g *Generator) Next() Ref {
 	}
 	g.refs++
 
-	r := Ref{
-		Gap:   g.geoGap.Next(g.rng),
-		Write: g.rng.Bool(g.p.WriteFrac),
-	}
+	gap = g.geoGap.Next(&g.rng)
+	write = g.rng.Bool(g.p.WriteFrac)
 
 	// A hot burst in progress continues regardless of the pattern
 	// mixture (it models word accesses to one cached line).
 	if g.burstLeft > 0 {
 		g.burstLeft--
 		g.burstOff = (g.burstOff + strideBytes) % lineBytes
-		r.Addr = g.burstLine + g.burstOff
-		r.Kind = KindHot
-		return r
+		return g.burstLine + g.burstOff, gap, write, KindHot
 	}
 
 	u := g.rng.Float64()
 	switch {
 	case u < g.p.StreamFrac:
-		r.Addr = streamBase + g.streamPos
-		r.Kind = KindStream
+		addr = streamBase + g.streamPos
 		g.streamPos = (g.streamPos + strideBytes) % g.streamBytes
+		return addr, gap, write, KindStream
 	case u < g.p.StreamFrac+g.p.ScanFrac:
 		// Round-robin across the scan loops; each loop advances
 		// word-by-word through its own region.
 		i := g.scanNext
 		g.scanNext = (g.scanNext + 1) % len(g.scanPos)
 		base := scanBase + uint64(i)<<32 // disjoint region per loop
-		r.Addr = base + g.scanPos[i]
-		r.Kind = KindScan
+		addr = base + g.scanPos[i]
 		g.scanPos[i] = (g.scanPos[i] + strideBytes) % g.scanSize[i]
+		return addr, gap, write, KindScan
 	case u < g.p.StreamFrac+g.p.ScanFrac+g.p.PointerFrac:
 		lines := uint64(g.p.PointerKB) * 1024 / lineBytes
-		r.Addr = pointerBase + g.rng.Uint64n(lines)*lineBytes
-		r.Kind = KindPointer
-	default:
-		// Hot share: a LocalFrac portion goes to the small local
-		// region (pure L1 traffic); the rest draws a Zipf hot line
-		// and possibly starts a spatial burst in it.
-		if lf := g.p.EffectiveLocalFrac(); lf > 0 && g.rng.Float64() < lf {
-			words := uint64(g.p.EffectiveLocalKB()) * 1024 / strideBytes
-			r.Addr = localBase + g.rng.Uint64n(words)*strideBytes
-			r.Kind = KindLocal
-			return r
-		}
-		g.burstLine = hotBase + uint64(g.zipf.Next())*lineBytes
-		g.burstOff = 0
-		r.Addr = g.burstLine
-		r.Kind = KindHot
-		if g.geoBurst != nil {
-			// Geometric burst length with the configured mean.
-			g.burstLeft = g.geoBurst.Next(g.rng)
-		}
+		return pointerBase + g.rng.Uint64n(lines)*lineBytes, gap, write, KindPointer
 	}
-	return r
+	// Hot share: a LocalFrac portion goes to the small local region
+	// (pure L1 traffic); the rest draws a Zipf hot line and possibly
+	// starts a spatial burst in it.
+	if g.localFrac > 0 && g.rng.Float64() < g.localFrac {
+		return localBase + g.rng.Uint64n(g.localWords)*strideBytes, gap, write, KindLocal
+	}
+	g.burstLine = hotBase + uint64(g.zipf.Next())*lineBytes
+	g.burstOff = 0
+	if g.geoBurst != nil {
+		// Geometric burst length with the configured mean.
+		g.burstLeft = g.geoBurst.Next(&g.rng)
+	}
+	return g.burstLine, gap, write, KindHot
 }
 
 // profiles is the full benchmark table. Hot sizes, stream mixes,

@@ -206,6 +206,9 @@ func (z *Zipf) N() int { return len(z.t.cdf) }
 // for checkpointing.
 func (z *Zipf) RNGState() uint64 { return z.rng.state }
 
+// SetRNGState restores a state previously obtained from RNGState.
+func (z *Zipf) SetRNGState(s uint64) { z.rng.state = s }
+
 // Next returns the next sample in [0, N()): the first CDF entry >= u.
 // The bucket index narrows the search range; because the brackets
 // provably contain the answer, the result is identical to a binary
