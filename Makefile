@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the CI/verification gate.
 
-.PHONY: check ci lint golden golden-update verify fuzz-smoke build vet test race bench bench-record bench-check results quick-results serve serve-smoke trace-smoke load load-smoke load-record cluster cluster-smoke
+.PHONY: check ci lint golden golden-update verify fuzz-smoke build vet test race bench bench-check results quick-results serve serve-smoke trace-smoke load load-smoke cluster cluster-smoke
 
 check:
 	./scripts/check.sh
@@ -52,18 +52,13 @@ race:
 bench:
 	go test -bench . -benchmem -run '^$$' ./internal/cache/ ./internal/sim/ ./internal/refrint/ .
 
-# Run the pinned hot-path benchmarks at a fixed benchtime and -cpu 1
-# and append a dated entry to BENCH_sim.json via esteem-gate (the
-# checked-in perf trajectory).
-bench-record:
-	./scripts/bench-record.sh
-
-# Gate the same benchmarks with esteem-gate (CI's bench-gate lane):
-# first a self-test that a 1.2x-ns/op copy fails against the fresh
-# run, then the run against the latest BENCH_sim.json entry, where
-# >15% ns/op regression or any allocs/op increase fails.
+# Same-host perf check (CI's bench-gate lane): the pinned hot-path
+# benchmarks run as 20 alternating base/head pairs against the
+# merge-base with origin/main; esteem-gate fails a median head/base
+# ns/op ratio above 1.10 or a higher minimum allocs/op. A 1.2x-ns/op
+# copy of head must fail first, or the check is dead.
 bench-check:
-	./scripts/bench-record.sh check
+	./scripts/bench-pair.sh
 
 # Regenerate the paper evaluation (long; uses every CPU by default —
 # tune with JOBS=N).
@@ -97,18 +92,12 @@ SERVER ?= http://127.0.0.1:8344
 load:
 	go run ./cmd/esteem-load -server $(SERVER)
 
-# Service-level benchmark lane (CI's load-smoke): boots a daemon,
-# drives an ~11s ramp+burst schedule, gates the report against
-# BENCH_serve.json with esteem-gate, and proves the gate rejects a
-# degraded copy.
+# Service-level smoke lane (CI's load-smoke): boots a daemon, drives
+# an ~11s ramp+burst schedule, and fails if the esteem-load report
+# fails its own sanity checks (traffic completed, <= 1% errors, cache
+# hit rate near the hot fraction).
 load-smoke:
 	./scripts/load-smoke.sh
-
-# Re-baseline the service-level trajectory after an intentional
-# service change: same run as load-smoke, but esteem-gate appends the
-# report to BENCH_serve.json instead of gating it.
-load-record:
-	./scripts/load-smoke.sh record
 
 # Run a local three-node sweep cluster from the Procfile recipe:
 # coordinator on :8344 plus two workers on free ports. Needs a

@@ -4,8 +4,13 @@
 // jitter, a configurable cache-hot/cold mix), drives the service with
 // it, and writes the measured service-level outcome — p50/p99/p999
 // latency, throughput, 429/error counts, queue wait and the cache
-// hit/miss split scraped from /metrics — as a JSON report consumable
-// by esteem-gate.
+// hit/miss split scraped from /metrics — as a JSON report. After
+// writing the report it exits 1 if the run fails the report's sanity
+// checks (load.Report.Check): no traffic, zero latency or throughput,
+// more than 1% errors, or a cache hit rate more than 0.15 from -hot.
+// Rerunning one -seed against a daemon whose store kept the first
+// run's results serves the cold specs from cache too, and fails the
+// hit-rate check.
 //
 // Examples:
 //
@@ -52,7 +57,6 @@ func run() error {
 	jitter := flag.Float64("jitter", 0.25, "arrival jitter as a fraction of the mean gap [0,1]")
 	seed := flag.Int64("seed", 1, "schedule seed (arrival jitter, hot/cold placement, cold spec seeds)")
 	out := flag.String("out", "", "write the JSON report to this file (empty = stdout)")
-	note := flag.String("note", "", "free-form note stored with the report")
 	waitReady := flag.Duration("wait-ready", 30*time.Second, "wait this long for the server's /healthz before starting (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "wait for in-flight requests after the last arrival")
 	connRetries := flag.Int("conn-retries", 3, "per-request retries on connection errors (server start/drain)")
@@ -84,7 +88,6 @@ func run() error {
 		Schedule:     sched,
 		ConnRetries:  *connRetries,
 		DrainTimeout: *drainTimeout,
-		Note:         *note,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -102,13 +105,13 @@ func run() error {
 	data = append(data, '\n')
 	if *out == "" {
 		_, err = os.Stdout.Write(data)
+	} else if err = os.WriteFile(*out, data, 0o644); err == nil {
+		fmt.Fprintf(os.Stderr, "report written to %s\n", *out)
+	}
+	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "report written to %s\n", *out)
-	return nil
+	return rep.Check()
 }
 
 // printSummary renders the per-phase table humans read on stderr; the

@@ -94,3 +94,40 @@ func BenchmarkActiveFraction(b *testing.B) {
 		b.Fatalf("active fraction %v out of range", sink)
 	}
 }
+
+// TestAccessIntoAllocatesNothing pins the zero allocs/op that
+// BenchmarkCacheAccess reports, so every `go test` checks it: the
+// demand-access path, hits and misses alike, never allocates.
+func TestAccessIntoAllocatesNothing(t *testing.T) {
+	c := benchL2()
+	addrs := benchAddrs(1 << 12)
+	for _, a := range addrs {
+		c.Access(a, false)
+	}
+	var res AccessResult
+	i := 0
+	if avg := testing.AllocsPerRun(100, func() {
+		for j := 0; j < 64; j++ {
+			c.AccessInto(addrs[i&(len(addrs)-1)], i&7 == 0, &res)
+			i++
+		}
+	}); avg != 0 {
+		t.Fatalf("AccessInto allocates (%.2f allocs per 64 accesses)", avg)
+	}
+}
+
+// TestActiveFractionAllocatesNothing pins BenchmarkActiveFraction's
+// zero allocs/op.
+func TestActiveFractionAllocatesNothing(t *testing.T) {
+	c := benchL2()
+	for m := 0; m < c.NumModules(); m += 2 {
+		c.SetActiveWays(m, 5)
+	}
+	var sink float64
+	if avg := testing.AllocsPerRun(100, func() { sink = c.ActiveFraction() }); avg != 0 {
+		t.Fatalf("ActiveFraction allocates (%.2f allocs per call)", avg)
+	}
+	if sink <= 0 || sink > 1 {
+		t.Fatalf("active fraction %v out of range", sink)
+	}
+}

@@ -2,8 +2,8 @@
 // tracing disabled must cost no more allocations than the pre-
 // observability worker did. Tracing is nil-span gated, so a worker
 // without a Tracer (or a task without a traceparent) takes the same
-// path this benchmark measures; BENCH_sim.json records the trajectory
-// and esteem-gate rejects any allocs/op increase.
+// path this benchmark measures, and scripts/bench-pair.sh fails a head
+// whose minimum allocs/op is above the base's.
 package cluster
 
 import (

@@ -1,12 +1,14 @@
-// Report is the load generator's output and the input esteem-gate
-// records into the BENCH_serve.json trajectory: per-phase and overall
-// latency/throughput plus server-side cache behaviour.
+// Report is the load generator's output: per-phase and overall
+// latency/throughput plus server-side cache behaviour, and the sanity
+// checks a working service's run passes.
 package load
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 )
 
 // Quantiles summarises a latency distribution in milliseconds.
@@ -92,15 +94,13 @@ type HistBucket struct {
 	Count uint64  `json:"count"`
 }
 
-// Report is one dated load-generator run; esteem-gate flattens it
-// into one BENCH_serve.json entry.
+// Report is one dated load-generator run.
 type Report struct {
 	Date   string `json:"date"`
 	Go     string `json:"go"`
 	GOOS   string `json:"goos"`
 	GOARCH string `json:"goarch"`
 	CPUs   int    `json:"cpus"`
-	Note   string `json:"note,omitempty"`
 
 	Seed        int64   `json:"seed"`
 	HotFraction float64 `json:"hot_fraction"`
@@ -122,4 +122,42 @@ func (r *Report) stampHost() {
 	r.GOOS = runtime.GOOS
 	r.GOARCH = runtime.GOARCH
 	r.CPUs = runtime.NumCPU()
+}
+
+// Sanity bounds of Check. They are absolute: a run is compared with
+// nothing but its own schedule.
+const (
+	maxErrorRate = 0.01 // errors/requests (429s are load shedding, not errors)
+	maxHitDrift  = 0.15 // |cache hit rate - configured hot fraction|
+)
+
+// Check reports whether the run looks like a working service: traffic
+// went out and completed with positive latency and throughput, at most
+// 1% of requests failed, and the cache hit rate is within 0.15 of the
+// schedule's hot fraction. It returns nil or an error naming every
+// failed check.
+func (r Report) Check() error {
+	var bad []string
+	want := func(ok bool, format string, args ...any) {
+		if !ok {
+			bad = append(bad, fmt.Sprintf(format, args...))
+		}
+	}
+	o := r.Overall
+	want(o.Requests > 0, "no requests")
+	want(o.Completed > 0, "no completions")
+	want(o.Latency.P50 > 0, "p50 %g ms, want > 0", o.Latency.P50)
+	want(o.Latency.P99 > 0, "p99 %g ms, want > 0", o.Latency.P99)
+	want(o.AchievedRPS > 0, "achieved %g rps, want > 0", o.AchievedRPS)
+	if o.Requests > 0 {
+		rate := float64(o.Errors) / float64(o.Requests)
+		want(rate <= maxErrorRate, "error rate %.3g, want <= %g", rate, maxErrorRate)
+	}
+	drift := math.Abs(r.Cache.HitRate - r.HotFraction)
+	want(drift <= maxHitDrift, "hit rate %.3g is %.3g from hot fraction %g, want <= %g",
+		r.Cache.HitRate, drift, r.HotFraction, maxHitDrift)
+	if len(bad) > 0 {
+		return fmt.Errorf("report fails sanity checks: %s", strings.Join(bad, "; "))
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package load
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -47,5 +48,71 @@ func TestLatencyHistogramCumulative(t *testing.T) {
 		if edges[i].Count != want {
 			t.Errorf("edges: le=%gms count %d, want %d", edges[i].LEms, edges[i].Count, want)
 		}
+	}
+}
+
+// healthyReport is a plausible passing esteem-load run: 600 requests,
+// all completed, ~5ms p50, hit rate matching the 0.5 hot fraction.
+func healthyReport() Report {
+	lat := Quantiles{P50: 5, P99: 25, P999: 40, Max: 44, Mean: 7}
+	return Report{
+		HotFraction: 0.5,
+		Overall: PhaseStats{
+			Name: "overall", Requests: 600, Completed: 600, AchievedRPS: 54.5, Latency: lat,
+		},
+		Cache: CacheStats{Hits: 250, Coalesced: 49, Misses: 301, HitRate: 0.4983},
+	}
+}
+
+func TestCheckPassesHealthyReport(t *testing.T) {
+	if err := healthyReport().Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckAbsoluteFailures puts each check on both sides of its
+// bound.
+func TestCheckAbsoluteFailures(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Report)
+		fail   string // "" = passes; else a substring of the error
+	}{
+		{"no requests", func(r *Report) { r.Overall.Requests = 0 }, "no requests"},
+		{"one request", func(r *Report) { r.Overall.Requests, r.Overall.Completed = 1, 1 }, ""},
+		{"nothing completed", func(r *Report) {
+			r.Overall.Completed = 0
+			r.Overall.Rejected = 600
+		}, "no completions"},
+		{"zero p50", func(r *Report) { r.Overall.Latency.P50 = 0 }, "p50"},
+		{"tiny p50", func(r *Report) { r.Overall.Latency.P50 = 0.001 }, ""},
+		{"zero p99", func(r *Report) { r.Overall.Latency.P99 = 0 }, "p99"},
+		{"zero throughput", func(r *Report) { r.Overall.AchievedRPS = 0 }, "rps"},
+		{"tiny throughput", func(r *Report) { r.Overall.AchievedRPS = 0.01 }, ""},
+		{"error rate 0.5%", func(r *Report) { r.Overall.Errors = 3 }, ""},
+		{"error rate 1%", func(r *Report) { r.Overall.Errors = 6 }, ""},
+		{"error rate 2%", func(r *Report) { r.Overall.Errors = 12 }, "error rate"},
+		{"hit rate drift 0.1 below", func(r *Report) { r.Cache.HitRate = 0.4 }, ""},
+		{"hit rate drift 0.1 above", func(r *Report) { r.Cache.HitRate = 0.6 }, ""},
+		{"hit rate drift 0.2 below", func(r *Report) { r.Cache.HitRate = 0.3 }, "hit rate"},
+		{"hit rate drift 0.2 above", func(r *Report) { r.Cache.HitRate = 0.7 }, "hit rate"},
+	}
+	for _, tc := range cases {
+		rep := healthyReport()
+		tc.mutate(&rep)
+		err := rep.Check()
+		switch {
+		case tc.fail == "" && err != nil:
+			t.Errorf("%s: %v, want pass", tc.name, err)
+		case tc.fail != "" && (err == nil || !strings.Contains(err.Error(), tc.fail)):
+			t.Errorf("%s: err %v, want one naming %q", tc.name, err, tc.fail)
+		}
+	}
+
+	// Every failed check is named, not just the first.
+	rep := healthyReport()
+	rep.Overall.AchievedRPS, rep.Cache.HitRate = 0, 0
+	if err := rep.Check(); err == nil || !strings.Contains(err.Error(), "rps") || !strings.Contains(err.Error(), "hit rate") {
+		t.Errorf("two failures: err %v, want both named", err)
 	}
 }

@@ -32,8 +32,6 @@ type Options struct {
 	// last arrival (default 30s); requests still pending afterwards
 	// count as errors.
 	DrainTimeout time.Duration
-	// Note is stored with the report.
-	Note string
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -163,7 +161,6 @@ func buildReport(opts Options, arrivals []Arrival, results []reqResult,
 
 	sched := opts.Schedule
 	rep := Report{
-		Note:        opts.Note,
 		Seed:        sched.Seed,
 		HotFraction: sched.HotFraction,
 		Jitter:      sched.Jitter,

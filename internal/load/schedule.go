@@ -4,9 +4,8 @@
 // daemon with them without ever gating arrivals on completions, and
 // records the service-level outcome — p50/p99/p999 latency,
 // throughput, 429 and error counts, queue wait and the cache hit/miss
-// split scraped from /metrics — as a Report. esteem-gate appends
-// reports to the checked-in BENCH_serve.json trajectory and gates CI
-// regressions against it.
+// split scraped from /metrics — as a Report, whose Check method is the
+// smoke test CI's load-smoke lane applies.
 //
 // The schedule model follows the invitro trace synthesizer: a list of
 // constant-rate slots described by a starting RPS, a step size and a

@@ -9,20 +9,36 @@ import (
 	"repro/internal/xrand"
 )
 
+// windowPolicies are the refresh policies BenchmarkRefreshWindow and
+// TestRefreshWindowAllocatesNothing advance, by name.
+var windowPolicies = []struct {
+	name string
+	make func(c *cache.Cache, clk *edram.Clock) (edram.Policy, error)
+}{
+	{"baseline", func(c *cache.Cache, clk *edram.Clock) (edram.Policy, error) { return edram.NewRefreshAll(c), nil }},
+	{"valid-only", func(c *cache.Cache, clk *edram.Clock) (edram.Policy, error) { return edram.NewValidOnly(c), nil }},
+	{"periodic-valid", func(c *cache.Cache, clk *edram.Clock) (edram.Policy, error) { return NewPeriodicValid(c), nil }},
+	{"rpv", func(c *cache.Cache, clk *edram.Clock) (edram.Policy, error) { return NewRPV(c, clk, 4, 100_000) }},
+	{"rpd", func(c *cache.Cache, clk *edram.Clock) (edram.Policy, error) { return NewRPD(c, clk, 4, 100_000) }},
+}
+
 // benchSetup builds the paper's L2 with the given policy installed,
 // populates it with a deterministic mixed-dirtiness working set and
 // returns the refresh engine, ready to advance.
-func benchSetup(b *testing.B, makePolicy func(c *cache.Cache, clk *edram.Clock) edram.Policy) (*edram.Engine, *cache.Cache, *edram.Clock) {
-	b.Helper()
+func benchSetup(tb testing.TB, makePolicy func(c *cache.Cache, clk *edram.Clock) (edram.Policy, error)) (*edram.Engine, *cache.Cache, *edram.Clock) {
+	tb.Helper()
 	c := cache.MustNew(cache.Params{
 		Name: "L2", SizeBytes: 4 << 20, Assoc: 16, LineBytes: 64,
 		Latency: 12, Modules: 8, SamplingRatio: 64, Banks: 4,
 	})
 	clk := &edram.Clock{}
-	policy := makePolicy(c, clk)
+	policy, err := makePolicy(c, clk)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	eng, err := edram.NewEngine(edram.Params{RetentionCycles: 100_000, Banks: 4}, policy)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	// Fill ~60% of the cache with valid lines, ~30% of them dirty,
 	// touching through Access so observers see every line.
@@ -40,29 +56,7 @@ func benchSetup(b *testing.B, makePolicy func(c *cache.Cache, clk *edram.Clock) 
 // every simulated 50 µs pays, so it dominates long runs with quiet
 // caches.
 func BenchmarkRefreshWindow(b *testing.B) {
-	policies := []struct {
-		name string
-		make func(c *cache.Cache, clk *edram.Clock) edram.Policy
-	}{
-		{"baseline", func(c *cache.Cache, clk *edram.Clock) edram.Policy { return edram.NewRefreshAll(c) }},
-		{"valid-only", func(c *cache.Cache, clk *edram.Clock) edram.Policy { return edram.NewValidOnly(c) }},
-		{"periodic-valid", func(c *cache.Cache, clk *edram.Clock) edram.Policy { return NewPeriodicValid(c) }},
-		{"rpv", func(c *cache.Cache, clk *edram.Clock) edram.Policy {
-			p, err := NewRPV(c, clk, 4, 100_000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return p
-		}},
-		{"rpd", func(c *cache.Cache, clk *edram.Clock) edram.Policy {
-			p, err := NewRPD(c, clk, 4, 100_000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return p
-		}},
-	}
-	for _, pc := range policies {
+	for _, pc := range windowPolicies {
 		b.Run(pc.name, func(b *testing.B) {
 			eng, c, clk := benchSetup(b, pc.make)
 			rng := xrand.New(11)
@@ -81,6 +75,29 @@ func BenchmarkRefreshWindow(b *testing.B) {
 				eng.AdvanceTo(cycle)
 			}
 			_ = fmt.Sprint(eng.TotalRefreshed())
+		})
+	}
+}
+
+// TestRefreshWindowAllocatesNothing pins the zero allocs/op that
+// BenchmarkRefreshWindow reports for every policy, so every `go test`
+// checks it: a window of touches and refresh events never allocates.
+func TestRefreshWindowAllocatesNothing(t *testing.T) {
+	for _, pc := range windowPolicies {
+		t.Run(pc.name, func(t *testing.T) {
+			eng, c, clk := benchSetup(t, pc.make)
+			rng := xrand.New(11)
+			cycle := uint64(200_000)
+			if avg := testing.AllocsPerRun(20, func() {
+				for j := 0; j < 64; j++ {
+					clk.Cycle = cycle + uint64(j)
+					c.Access(cache.Addr(rng.Uint64n(4<<20)&^63), rng.Bool(0.3))
+				}
+				cycle += 100_000
+				eng.AdvanceTo(cycle)
+			}); avg != 0 {
+				t.Fatalf("one refresh window allocates %.2f times", avg)
+			}
 		})
 	}
 }

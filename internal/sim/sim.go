@@ -20,6 +20,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -536,7 +537,7 @@ func NewFromSources(cfg Config, sources []trace.Source) (*Simulator, error) {
 		}
 		s.effMemLat = append(s.effMemLat, eff)
 		l1, err := cache.New(cache.Params{
-			Name: fmt.Sprintf("L1D%d", i), SizeBytes: cfg.L1SizeBytes,
+			Name: "L1D" + strconv.Itoa(i), SizeBytes: cfg.L1SizeBytes,
 			Assoc: cfg.L1Assoc, LineBytes: cfg.LineBytes,
 			Latency: 2, Modules: 1, Banks: 1,
 		})

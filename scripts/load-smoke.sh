@@ -1,26 +1,21 @@
 #!/bin/sh
-# load-smoke.sh [record] — service-level load benchmark, CI's
-# load-smoke lane.
+# load-smoke.sh — service-level load smoke test, CI's load-smoke lane.
 #
 # Boots esteem-serve on a free port, drives it with esteem-load's
 # open-loop ramp + burst schedule (~11s of traffic, 50% cache-hot
-# mix), and then:
+# mix), and requires the run to pass the report's own sanity checks,
+# which esteem-load applies after writing the report: traffic
+# completed with positive latency and throughput, at most 1% errors,
+# and a cache hit rate within 0.15 of the hot fraction. It compares
+# with no baseline; perfbench's serve-openloop workload measures the
+# service path's speed across commits on one host.
 #
-#   default: gates the fresh report against the latest BENCH_serve.json
-#            entry with esteem-gate, and proves the gate is live by
-#            checking a synthetically degraded copy of the same
-#            report, which MUST fail;
-#   record:  appends the fresh report to BENCH_serve.json instead
-#            (`make load-record`, run after intentional service
-#            changes on a quiet machine).
-#
-# Artifacts (report.json, degraded.json) land in $LOAD_OUT (default: a
-# temp dir) so CI can upload them.
+# The report lands in $LOAD_OUT (default: a temp dir) so CI can upload
+# it.
 set -eu
 cd "$(dirname "$0")/.."
 . ./scripts/lib.sh
 
-MODE="${1:-check}"
 WORK="$(mktemp -d)"
 OUT="${LOAD_OUT:-$WORK}"
 mkdir -p "$OUT"
@@ -32,7 +27,7 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 echo "== building binaries =="
-go build -o "$WORK/" ./cmd/esteem-serve ./cmd/esteem-load ./cmd/esteem-gate
+go build -o "$WORK/" ./cmd/esteem-serve ./cmd/esteem-load
 
 echo "== booting daemon =="
 "$WORK/esteem-serve" -addr 127.0.0.1:0 -addr-file "$WORK/addr" \
@@ -50,29 +45,6 @@ echo "== open-loop ramp + burst (~11s, 50% hot mix) =="
     -burst-rps 120 -burst-dur 2s \
     -hot 0.5 -jitter 0.25 -seed 1 \
     -out "$OUT/report.json"
-
-case "$MODE" in
-record)
-    "$WORK/esteem-gate" -record BENCH_serve.json -in "$OUT/report.json"
-    ;;
-check)
-    echo "== service-level gate =="
-    "$WORK/esteem-gate" -check BENCH_serve.json -in "$OUT/report.json"
-
-    echo "== gate self-test (degraded copy must fail) =="
-    "$WORK/esteem-gate" -degrade 50 -in "$OUT/report.json" >"$OUT/degraded.json"
-    if "$WORK/esteem-gate" -check BENCH_serve.json -in "$OUT/degraded.json" >"$WORK/degraded.out" 2>&1; then
-        echo "gate PASSED a 50x-degraded report; thresholds are dead" >&2
-        cat "$WORK/degraded.out" >&2
-        exit 1
-    fi
-    echo "degraded copy rejected, as it should be"
-    ;;
-*)
-    echo "usage: $0 [record|check]" >&2
-    exit 2
-    ;;
-esac
 
 echo "== graceful drain =="
 kill -TERM "$SERVE_PID"
